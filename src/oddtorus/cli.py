@@ -103,20 +103,19 @@ def cmd_colour(args) -> int:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
 
-    g = torus.generate(p)
+    # colour_torus verified the colouring nice or raised above.
     if p.m >= 2:
         base = construct.base_colouring(p.m, p.n)
-        changed = sorted(v for v in g.vertices() if c[v] != base[v])
+        changed = sorted(v for v in c.assignment if c[v] != base[v])
         for v in changed:
             i, j = torus.vertex_coords(p, v)
             print(f"recoloured vertex {v} = ({i},{j}): {base[v]} -> {c[v]}")
     else:
-        for v in g.vertices():
+        for v in sorted(c.assignment):
             i, j = torus.vertex_coords(p, v)
             print(f"vertex {v} = ({i},{j}): colour {c[v]}")
-    witness = nice_witness(g, c)
-    print(f"nice: {'yes' if witness is None else f'no ({witness})'}")
-    return EXIT_OK if witness is None else EXIT_FAIL
+    print("nice: yes")
+    return EXIT_OK
 
 
 def cmd_verify(args) -> int:

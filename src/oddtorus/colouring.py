@@ -5,6 +5,13 @@ among its neighbours, and conflict-free when some colour has
 multiplicity exactly one; isolated vertices are exempt from both.  A
 nice colouring is proper, odd, and uses colours from {1..9} only.
 
+Oddness is a parity question, answered everywhere by odd_colours: the
+set of colours with odd multiplicity in a neighbourhood, so a vertex is
+odd iff that set is non-empty.  The solver's evening-out ban asks the
+same question of a neighbourhood with one vertex left to colour, and
+its search keeps the same set as a bit mask, which is safe there because
+its colours are at most k.  The set form holds for any colour value.
+
 Each verdict has a witness variant returning the first offending edge
 or vertex (None when the check passes); the boolean verifiers are thin
 wrappers over those.  The general verifiers accept any positive colours,
@@ -14,7 +21,7 @@ only the nice check enforces the 9-colour bound.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
 from .embedding import EmbeddedGraph
@@ -66,15 +73,20 @@ def proper_witness(g: EmbeddedGraph, c: Colouring) -> tuple[int, int] | None:
     return None
 
 
+def odd_colours(colour: Mapping[int, int], nbrs: Iterable[int]) -> set[int]:
+    """The colours with odd multiplicity among nbrs under colour."""
+    odd: set[int] = set()
+    for w in nbrs:
+        odd ^= {colour[w]}
+    return odd
+
+
 def odd_witness(g: EmbeddedGraph, c: Colouring) -> int | None:
     """First non-isolated vertex with an all-even neighbourhood, or None."""
     check_total(g, c)
     for v in g.vertices():
         rot = g.rotation(v)
-        if not rot:
-            continue
-        counts = Counter(c[w] for w in rot)
-        if all(k % 2 == 0 for k in counts.values()):
+        if rot and not odd_colours(c.assignment, rot):
             return v
     return None
 

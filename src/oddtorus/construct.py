@@ -23,19 +23,14 @@ recoverable condition.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .colouring import Colouring, nice_witness
 from .embedding import EmbeddedGraph
-from .errors import ConstructionFailedError, NotSimpleError
-from .torus import TorusParams, canonical_m1, generate, simplicity_witness
+from .errors import ConstructionFailedError
+from .torus import TorusParams, canonical_m1, generate, vertex_id
 
 COLOUR_CLASSES = ((1, 2, 3), (4, 5, 6), (7, 8, 9))
-
-
-def _flat(n: int, i: int, j: int) -> int:
-    return (i - 1) * n + ((j - 1) % n) + 1
 
 
 def column_class(m: int, i: int) -> int:
@@ -56,11 +51,12 @@ def base_colouring(m: int, n: int) -> Colouring:
     """Column-class base colouring of the m x n grid; independent of t."""
     if m < 2 or n < 3:
         raise ValueError("base colouring needs m >= 2 and n >= 3")
+    p = TorusParams(m, n, 0)
     assignment = {}
     for i in range(1, m + 1):
         cls = COLOUR_CLASSES[column_class(m, i) - 1]
         for j in range(1, n + 1):
-            assignment[_flat(n, i, j)] = cls[row_within_index(n, j) - 1]
+            assignment[vertex_id(p, i, j)] = cls[row_within_index(n, j) - 1]
     return Colouring(assignment)
 
 
@@ -135,20 +131,20 @@ def colour_m_ge3(p: TorusParams) -> Colouring:
         for i in (1, m - 1):
             third = 6 - column_class(m, i) - column_class(m, i + 1)
             for j in (1, n - 1):
-                w = _flat(n, i + 1, j - 1)
+                w = vertex_id(p, i + 1, j - 1)
                 changes[w] = _absent_class_colour(g, base, w, third, p)
     elif m % 3 == 1 and n % 3 == 2:
-        changes[_flat(n, 2, n)] = 9
-        w = _flat(n, m, n)
+        changes[vertex_id(p, 2, n)] = 9
+        w = vertex_id(p, m, n)
         changes[w] = _absent_class_colour(g, base, w, 1, p)
     elif m % 3 == 2 and n % 3 == 1:
-        changes[_flat(n, 2, n)] = 7
-        changes[_flat(n, m - 1, 2)] = 7
-        changes[_flat(n, 2, n - 2)] = 9
-        changes[_flat(n, m - 1, n)] = 9
+        changes[vertex_id(p, 2, n)] = 7
+        changes[vertex_id(p, m - 1, 2)] = 7
+        changes[vertex_id(p, 2, n - 2)] = 9
+        changes[vertex_id(p, m - 1, n)] = 9
     else:  # m % 3 == 2, n % 3 == 2
-        changes[_flat(n, 2, n)] = 9
-        changes[_flat(n, m - 1, 1)] = 9
+        changes[vertex_id(p, 2, n)] = 9
+        changes[vertex_id(p, m - 1, 1)] = 9
     return _require_nice(g, base.with_recoloured(changes), p)
 
 
@@ -292,22 +288,19 @@ def _cycle_pattern(length: int) -> list[int]:
 def colour_m1(n: int, t: int) -> Colouring:
     """Nice colouring of T(1,n,t) via the interval partition.
 
-    The shift is canonicalized first (the graph is unchanged).  Each
-    class is coloured along its induced paths by repeating the class;
-    when r = 4 the class-2 subgraph is a cycle and gets the tail-closed
-    cycle pattern starting at vertex t+1.
+    The intervals are cut with the canonical shift, which gives the same
+    graph (see canonical_m1).  Each class is coloured along its induced
+    paths by repeating the class; when r = 4 the class-2 subgraph is a
+    cycle and gets the tail-closed cycle pattern starting at vertex t+1.
     """
-    n, t = canonical_m1(n, t)
     p = TorusParams(1, n, t)
     g = generate(p)
-    part = IntervalPartition.build(n, t)
+    part = IntervalPartition.build(*canonical_m1(n, t))
 
     assignment: dict[int, int] = {}
-    comps_by_class = []
     for class_idx in (1, 2, 3):
         cls = COLOUR_CLASSES[class_idx - 1]
         for comp, adjacency in _induced_components(g, part.class_members(class_idx)):
-            comps_by_class.append((class_idx, comp))
             order, is_cycle = _order_along(comp, adjacency)
             if is_cycle:
                 pattern = _cycle_pattern(len(order))
@@ -315,29 +308,15 @@ def colour_m1(n: int, t: int) -> Colouring:
                 pattern = [k % 3 + 1 for k in range(len(order))]
             for v, idx in zip(order, pattern):
                 assignment[v] = cls[idx - 1]
-
-    c = Colouring(assignment)
-    if nice_witness(g, c) is None:
-        return c
-
-    # Fallback for components whose induced argument does not apply
-    # (singletons); retry each component exhaustively within its class.
-    for class_idx, comp in comps_by_class:
-        cls = COLOUR_CLASSES[class_idx - 1]
-        if len(comp) > 10:
-            continue
-        for trial in itertools.product(cls, repeat=len(comp)):
-            candidate = c.with_recoloured(dict(zip(comp, trial)))
-            if nice_witness(g, candidate) is None:
-                return candidate
-    raise ConstructionFailedError((1, n, t), nice_witness(g, c))
+    return _require_nice(g, Colouring(assignment), p)
 
 
 def colour_torus(p: TorusParams) -> Colouring:
-    """Nice colouring of any simple T(m,n,t): dispatch on m."""
-    witness = simplicity_witness(p)
-    if witness is not None:
-        raise NotSimpleError((p.m, p.n, p.t), witness)
+    """Nice colouring of any simple T(m,n,t): dispatch on m.
+
+    Raises:
+        NotSimpleError: T(p) has a loop or parallel edge.
+    """
     if p.m >= 3:
         return colour_m_ge3(p)
     if p.m == 2:

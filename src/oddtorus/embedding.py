@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from .errors import (
     AsymmetricRotationError,
     DisconnectedGraphError,
+    NeighbourRangeError,
     RepeatedNeighbourError,
     SelfLoopError,
 )
@@ -140,10 +141,13 @@ def build_embedded_graph(
     taken to describe vertices 1..n in order.
 
     Raises:
+        NeighbourRangeError: a neighbour id outside 1..n (a ValueError).
         SelfLoopError: a vertex lists itself.
         RepeatedNeighbourError: a neighbour repeated within one rotation.
         AsymmetricRotationError: u lists v but v does not list u.
-        ValueError: ids out of range or malformed input.
+        ValueError: malformed keys or an empty graph.
+
+    Each GraphError carries the offending vertex as its ``vertex``.
     """
     if isinstance(rotations, Mapping):
         n = len(rotations)
@@ -159,18 +163,20 @@ def build_embedded_graph(
     for v in range(1, n + 1):
         for w in table[v]:
             if not isinstance(w, int) or not (1 <= w <= n):
-                raise ValueError(f"vertex {v} lists out-of-range neighbour {w!r}")
+                raise NeighbourRangeError(
+                    f"vertex {v} lists out-of-range neighbour {w!r}", vertex=v
+                )
         if v in table[v]:
-            raise SelfLoopError(f"vertex {v} lists itself")
+            raise SelfLoopError(f"vertex {v} lists itself", vertex=v)
         if len(set(table[v])) != len(table[v]):
-            raise RepeatedNeighbourError(f"vertex {v} repeats a neighbour")
+            raise RepeatedNeighbourError(f"vertex {v} repeats a neighbour", vertex=v)
 
     sets = [set(nbrs) for nbrs in table]
     for v in range(1, n + 1):
         for w in table[v]:
             if v not in sets[w]:
                 raise AsymmetricRotationError(
-                    f"vertex {v} lists {w} but {w} does not list {v}"
+                    f"vertex {v} lists {w} but {w} does not list {v}", vertex=v
                 )
 
     return EmbeddedGraph(tuple(table))

@@ -4,7 +4,19 @@ from __future__ import annotations
 
 
 class GraphError(Exception):
-    """Base class for structurally invalid graph data."""
+    """Base class for structurally invalid graph data.
+
+    Attributes:
+        vertex: the vertex whose rotation is at fault, or None.
+    """
+
+    def __init__(self, message: str, vertex: int | None = None):
+        self.vertex = vertex
+        super().__init__(message)
+
+
+class NeighbourRangeError(GraphError, ValueError):
+    """A rotation lists a neighbour id outside 1..n."""
 
 
 class AsymmetricRotationError(GraphError):

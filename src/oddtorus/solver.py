@@ -4,14 +4,20 @@ The solver backtracks over vertices in descending-degree order (ties by
 id), trying colours in ascending order with first-occurrence symmetry
 breaking: a vertex may use at most one colour beyond the largest colour
 used so far, which is sound because all verdicts are invariant under
-colour permutation.  Properness prunes as usual.  Oddness is enforced
-lazily: a vertex w's constraint is decided the moment its last
-uncoloured neighbour v receives a colour, and the candidate colours for
-v exclude, for each such w, the unique colour whose use at v would make
-every colour multiplicity in N(w) even.  At most one such colour can
-exist per neighbour (two odd multiplicities can never both be fixed by
-one assignment), so together with properness at most 2 deg(v) colours
-are ever excluded at v.
+colour permutation.
+
+Properness bans the colours of v's coloured neighbours.  Oddness is
+enforced lazily through the parity of each vertex's coloured neighbours,
+the set of colours with odd multiplicity among them
+(colouring.odd_colours): a neighbour w of v bans a colour iff v is the
+last uncoloured neighbour of w and that set has a single element, and
+the banned colour is that element, because colouring v with it would
+leave every multiplicity in N(w) even.  The uniqueness of that colour
+follows from the representation: each neighbour bans at most one colour,
+so together with properness at most 2 deg(v) colours are ever excluded
+at v.  The search keeps each parity set as a bit mask (bit x for colour
+x <= k), XOR-ed as vertices are coloured and uncoloured, and reads both
+bans off bit masks.
 
 chi_odd_bruteforce is an independent oracle: it enumerates proper
 assignments exhaustively in vertex-id order, with no symmetry breaking
@@ -25,7 +31,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from .colouring import Colouring, is_odd, is_proper
+from .colouring import Colouring, is_odd, is_proper, odd_colours
 from .embedding import EmbeddedGraph
 from .errors import NeighbourUncolouredError, ResourceLimitError
 
@@ -51,42 +57,17 @@ class PartialColouring:
         return cls(dict(assignment), frozenset(set(g.vertices()) - set(assignment)))
 
 
-def _oddness_ban(g: EmbeddedGraph, assignment: Mapping[int, int], w: int, v: int):
-    """Colour x such that colouring v with x makes every multiplicity in
-    N(w) even, or None.
-
-    Undefined (None) when w has uncoloured neighbours other than v.  The
-    candidates are enumerated and uniqueness is asserted rather than
-    assumed: a working x must already have odd multiplicity, and all
-    other multiplicities must be even.
-    """
-    counts: dict[int, int] = {}
-    for x in g.rotation(w):
-        if x == v:
-            continue
-        if x not in assignment:
-            return None
-        c = assignment[x]
-        counts[c] = counts.get(c, 0) + 1
-    candidates = [
-        c for c in sorted(counts)
-        if counts[c] % 2 == 1
-        and all(k % 2 == 0 for cc, k in counts.items() if cc != c)
-    ]
-    assert len(candidates) <= 1, f"multiple evening-out colours at {w}: {candidates}"
-    return candidates[0] if candidates else None
-
-
 def forbidden_colours(
     g: EmbeddedGraph, pc: PartialColouring, v: int, *, relaxed: bool = False
 ) -> set[int]:
     """Colours unusable at the uncoloured vertex v.
 
     The union of the colours of v's neighbours (forbidden by properness)
-    and, for each neighbour w whose other neighbours are all coloured,
-    the colour whose use at v would leave N(w) with every multiplicity
-    even (forbidden by oddness).  The result has at most 2 deg(v)
-    elements.
+    and the evening-out bans (forbidden by oddness): a neighbour w bans a
+    colour iff v is its only uncoloured neighbour and its other
+    neighbours have a single colour of odd multiplicity, and the banned
+    colour is that one.  Each neighbour bans at most one colour, so the
+    result has at most 2 deg(v) elements.
 
     Raises:
         NeighbourUncolouredError: some neighbour of v is uncoloured and
@@ -101,10 +82,11 @@ def forbidden_colours(
             forbidden.add(pc.assignment[w])
         elif not relaxed:
             raise NeighbourUncolouredError(f"neighbour {w} of {v} is uncoloured")
-    for w in g.rotation(v):
-        ban = _oddness_ban(g, pc.assignment, w, v)
-        if ban is not None:
-            forbidden.add(ban)
+        others = [x for x in g.rotation(w) if x != v]
+        if all(x in pc.assignment for x in others):
+            odd = odd_colours(pc.assignment, others)
+            if len(odd) == 1:
+                forbidden |= odd
     return forbidden
 
 
@@ -126,20 +108,10 @@ def find_odd_colouring(
     rotation = [()] + [g.rotation(v) for v in range(1, n + 1)]
     colour = [0] * (n + 1)
     uncoloured_nbrs = [0] + [g.degree(v) for v in range(1, n + 1)]
-    # nbr_count[v][x] = number of neighbours of v currently coloured x
-    nbr_count = [[0] * (k + 1) for _ in range(n + 1)]
+    # bit x of mask[v] is set iff x is in odd_colours(colour, coloured
+    # neighbours of v)
+    mask = [0] * (n + 1)
     nodes_left = [node_budget if node_budget is not None else -1]
-
-    def banned(u: int) -> set[int]:
-        bans: set[int] = set()
-        for w in rotation[u]:
-            if uncoloured_nbrs[w] != 1:
-                continue
-            counts = nbr_count[w]
-            odd = [x for x in range(1, k + 1) if counts[x] % 2 == 1]
-            if len(odd) == 1:
-                bans.add(odd[0])
-        return bans
 
     def solve(idx: int, max_used: int) -> bool:
         if idx == n:
@@ -155,10 +127,18 @@ def find_odd_colouring(
                 return True
             colour[u] = 0
             return False
-        bans = banned(u)
-        counts_u = nbr_count[u]
+        # Bit x of taken is set iff x is forbidden at u.  Uncoloured
+        # neighbours contribute bit 0, and an empty mask bans nothing.
+        taken = 0
+        for w in rotation[u]:
+            taken |= 1 << colour[w]
+            if uncoloured_nbrs[w] == 1:
+                parity = mask[w]
+                if not parity & (parity - 1):
+                    taken |= parity
         for x in range(1, min(k, max_used + 1) + 1):
-            if counts_u[x] > 0 or x in bans:
+            bit = 1 << x
+            if taken & bit:
                 continue
             if nodes_left[0] > 0:
                 nodes_left[0] -= 1
@@ -166,13 +146,13 @@ def find_odd_colouring(
                 raise ResourceLimitError("node budget exceeded")
             colour[u] = x
             for w in rotation[u]:
-                nbr_count[w][x] += 1
+                mask[w] ^= bit
                 uncoloured_nbrs[w] -= 1
             if solve(idx + 1, max(max_used, x)):
                 return True
             colour[u] = 0
             for w in rotation[u]:
-                nbr_count[w][x] -= 1
+                mask[w] ^= bit
                 uncoloured_nbrs[w] += 1
         return False
 

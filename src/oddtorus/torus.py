@@ -78,18 +78,34 @@ def neighbour_slots(p: TorusParams, i: int, j: int) -> tuple[tuple[int, int], ..
     return tuple((si, (sj - 1) % n + 1) for si, sj in slots)
 
 
-def simplicity_witness(p: TorusParams) -> str | None:
-    """None if T(p) is simple, else a description of the violation found."""
+def _simple_slots(p: TorusParams):
+    """Yield the neighbour slots of each vertex of T(p) in vertex order.
+
+    Raises:
+        NotSimpleError: at the first loop or repeated neighbour met.
+    """
     for i in range(1, p.m + 1):
         for j in range(1, p.n + 1):
             slots = neighbour_slots(p, i, j)
             if (i, j) in slots:
-                return f"self-loop at ({i},{j})"
+                raise NotSimpleError((p.m, p.n, p.t), f"self-loop at ({i},{j})")
             seen = set()
             for s in slots:
                 if s in seen:
-                    return f"vertex ({i},{j}) lists ({s[0]},{s[1]}) twice"
+                    raise NotSimpleError(
+                        (p.m, p.n, p.t), f"vertex ({i},{j}) lists ({s[0]},{s[1]}) twice"
+                    )
                 seen.add(s)
+            yield slots
+
+
+def simplicity_witness(p: TorusParams) -> str | None:
+    """None if T(p) is simple, else a description of the violation found."""
+    try:
+        for _ in _simple_slots(p):
+            pass
+    except NotSimpleError as exc:
+        return exc.witness
     return None
 
 
@@ -100,20 +116,15 @@ def is_simple(p: TorusParams) -> bool:
 def generate(p: TorusParams) -> EmbeddedGraph:
     """Build T(p) with its canonical rotation system.
 
+    Simplicity is decided in the same pass that builds the rotations.
+
     Raises:
         NotSimpleError: with a witness, if the rules produce a loop or
             parallel edge.
     """
-    witness = simplicity_witness(p)
-    if witness is not None:
-        raise NotSimpleError((p.m, p.n, p.t), witness)
-    rotations = []
-    for i in range(1, p.m + 1):
-        for j in range(1, p.n + 1):
-            rotations.append(
-                tuple(vertex_id(p, si, sj) for si, sj in neighbour_slots(p, i, j))
-            )
-    return build_embedded_graph(rotations)
+    return build_embedded_graph(
+        [tuple(vertex_id(p, si, sj) for si, sj in slots) for slots in _simple_slots(p)]
+    )
 
 
 def canonical_m1(n: int, t: int) -> tuple[int, int]:

@@ -6,6 +6,7 @@ import math
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from oddtorus.embedding import EmbeddedGraph, build_embedded_graph
 
@@ -80,6 +81,31 @@ def random_graph(rng: random.Random, n: int, p: float) -> EmbeddedGraph:
                 adj[u].append(v)
                 adj[v].append(u)
     return build_embedded_graph(adj)
+
+
+@st.composite
+def coloured_graphs(draw):
+    """Hypothesis strategy: (graph on 1..9 vertices, a colour per
+    vertex), colours not necessarily proper.
+
+    Colours come from a drawn palette of up to six small or huge values,
+    so that large colours also repeat within a neighbourhood."""
+    n = draw(st.integers(1, 9))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    present = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    adj: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
+    for (u, v), keep in zip(pairs, present):
+        if keep:
+            adj[u].append(v)
+            adj[v].append(u)
+    palette = draw(
+        st.lists(
+            st.one_of(st.integers(1, 12), st.integers(10**9, 10**40)),
+            min_size=1, max_size=6, unique=True,
+        )
+    )
+    colours = draw(st.lists(st.sampled_from(palette), min_size=n, max_size=n))
+    return from_adjacency(adj), dict(zip(range(1, n + 1), colours))
 
 
 @pytest.fixture

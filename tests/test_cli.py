@@ -81,6 +81,19 @@ class TestVerify:
         cp.write_text("1 1\n2 2\n3 3\n4 4\n")
         assert main(["verify", str(gp), str(cp), "--conflict-free"]) == 0
 
+    def test_huge_colours_give_verdicts(self, tmp_path, capsys):
+        # Colours beyond the nice bound are legal input for the general
+        # verifiers and must cost no more than small ones.
+        gp = tmp_path / "c4.og"
+        gp.write_text(write_graph(cycle_graph(4)))
+        cp = tmp_path / "huge.col"
+        cp.write_text(f"1 1\n2 {10**12}\n3 {10**40}\n4 {10**12}\n")
+        assert main(["verify", str(gp), str(cp)]) == 1
+        out = capsys.readouterr().out
+        assert "proper: yes" in out
+        assert "odd: no (vertex 1)" in out
+        assert "nice: no" in out
+
     def test_parse_error_exits_two(self, tmp_path):
         gp = tmp_path / "junk.og"
         gp.write_text("not a graph\n")

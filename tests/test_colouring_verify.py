@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given
 
 from oddtorus.colouring import (
     Colouring,
@@ -14,13 +16,14 @@ from oddtorus.colouring import (
     is_odd,
     is_proper,
     odd_witness,
+    odd_colours,
     proper_witness,
 )
 from oddtorus.construct import colour_torus
 from oddtorus.errors import PartialColouringError
 from oddtorus.torus import TorusParams, generate
 
-from conftest import cycle_graph, from_adjacency, path_graph, random_graph
+from conftest import coloured_graphs, cycle_graph, from_adjacency, path_graph, random_graph
 
 
 def colour_list(values):
@@ -136,3 +139,32 @@ class TestProperties:
             assert is_proper(g, c) == is_proper(g, pc)
             assert is_odd(g, c) == is_odd(g, pc)
             assert is_conflict_free(g, c) == is_conflict_free(g, pc)
+
+
+def odd_witness_by_multiset(g, c):
+    """Reference: the direct multiset definition of oddness."""
+    for v in g.vertices():
+        counts = Counter(c[w] for w in g.rotation(v))
+        if counts and all(k % 2 == 0 for k in counts.values()):
+            return v
+    return None
+
+
+class TestOddColours:
+    def test_odd_multiplicities(self):
+        colour = {1: 3, 2: 3, 3: 5, 4: 1}
+        assert odd_colours(colour, [1, 2, 3, 4]) == {1, 5}
+        assert odd_colours(colour, [1, 2]) == set()
+        assert odd_colours(colour, []) == set()
+
+    def test_huge_colours(self):
+        g = cycle_graph(4)
+        c = Colouring({1: 1, 2: 10**12, 3: 10**40, 4: 10**12})
+        assert odd_colours(c.assignment, [1, 2, 3, 4]) == {1, 10**40}
+        assert odd_witness(g, c) == 1
+
+    @given(coloured_graphs())
+    def test_odd_witness_agrees_with_multiset_definition(self, drawn):
+        g, colours = drawn
+        c = Colouring(colours)
+        assert odd_witness(g, c) == odd_witness_by_multiset(g, c)

@@ -16,7 +16,14 @@ from oddtorus.construct import (
     colour_torus,
 )
 from oddtorus.errors import NotSimpleError
-from oddtorus.torus import TorusParams, generate, is_simple, vertex_coords, vertex_id
+from oddtorus.torus import (
+    TorusParams,
+    canonical_m1,
+    generate,
+    is_simple,
+    vertex_coords,
+    vertex_id,
+)
 
 
 def recoloured_map(p: TorusParams) -> dict[tuple[int, int], int]:
@@ -219,6 +226,23 @@ class TestColourM1:
                 members = part.class_members(idx)
                 for v in members:
                     assert c[v] in COLOUR_CLASSES[idx - 1]
+
+    def test_canonical_sweep(self):
+        # colour_m1 has no fallback: the interval colouring itself must be
+        # nice on every simple instance
+        for n in range(1, 61):
+            for t in range(n):
+                p = TorusParams(1, n, t)
+                if canonical_m1(n, t)[1] == t and is_simple(p):
+                    assert is_nice(generate(p), colour_m1(n, t)), f"T{p}"
+
+    @pytest.mark.slow
+    def test_full_sweep_to_two_hundred(self):
+        for n in range(1, 201):
+            for t in range(n):
+                p = TorusParams(1, n, t)
+                if is_simple(p):
+                    assert is_nice(generate(p), colour_m1(n, t)), f"T{p}"
 
     def test_singleton_component_instance(self):
         # T(1,11,2): interval 6 is the singleton {11} inside class 3

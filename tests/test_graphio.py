@@ -71,6 +71,10 @@ class TestGraphParseErrors:
         with pytest.raises(GraphFileError):
             parse_graph("og 1\nv 3\nr 1 2\nr 2 1\n")
 
+    def test_huge_declared_count_fails_at_first_gap(self):
+        with pytest.raises(GraphFileError, match="vertex 2"):
+            parse_graph("og 1\nv 1000000000000\nr 1\n")
+
     def test_duplicate_vertex(self):
         with pytest.raises(GraphFileError) as exc:
             parse_graph("og 1\nv 2\nr 1 2\nr 1 2\n")

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oddtorus.colouring import is_odd, is_proper
 from oddtorus.errors import NeighbourUncolouredError, ResourceLimitError
@@ -17,7 +19,7 @@ from oddtorus.solver import (
 )
 from oddtorus.torus import TorusParams, generate
 
-from conftest import cycle_graph, from_adjacency, path_graph, random_graph
+from conftest import coloured_graphs, cycle_graph, from_adjacency, path_graph, random_graph
 
 
 class TestForbiddenColours:
@@ -59,6 +61,60 @@ class TestForbiddenColours:
             assert len(forbidden_colours(g, pc, v)) <= 2 * g.degree(v)
 
 
+def oddness_ban_by_counting(g, assignment, w, v):
+    """Reference: the colour x such that colouring v with x makes every
+    multiplicity in N(w) even, by explicit counts, or None.  None also
+    when w has uncoloured neighbours other than v.  Uniqueness is
+    checked rather than assumed."""
+    counts = {}
+    for x in g.rotation(w):
+        if x == v:
+            continue
+        if x not in assignment:
+            return None
+        c = assignment[x]
+        counts[c] = counts.get(c, 0) + 1
+    candidates = [
+        c for c in sorted(counts)
+        if counts[c] % 2 == 1
+        and all(k % 2 == 0 for cc, k in counts.items() if cc != c)
+    ]
+    assert len(candidates) <= 1, f"multiple evening-out colours at {w}: {candidates}"
+    return candidates[0] if candidates else None
+
+
+def forbidden_by_counting(g, assignment, v, relaxed):
+    """Reference for forbidden_colours built on oddness_ban_by_counting."""
+    forbidden = set()
+    for w in g.rotation(v):
+        if w in assignment:
+            forbidden.add(assignment[w])
+        elif not relaxed:
+            raise NeighbourUncolouredError(f"neighbour {w} of {v} is uncoloured")
+    for w in g.rotation(v):
+        ban = oddness_ban_by_counting(g, assignment, w, v)
+        if ban is not None:
+            forbidden.add(ban)
+    return forbidden
+
+
+class TestForbiddenColoursProperty:
+    @given(coloured_graphs(), st.data(), st.booleans())
+    def test_agrees_with_counting_reference(self, drawn, data, relaxed):
+        g, colours = drawn
+        v = data.draw(st.sampled_from(list(g.vertices())))
+        uncoloured = data.draw(st.sets(st.sampled_from(list(g.vertices())))) | {v}
+        assignment = {w: c for w, c in colours.items() if w not in uncoloured}
+        pc = PartialColouring.on(g, assignment)
+        try:
+            expected = forbidden_by_counting(g, assignment, v, relaxed)
+        except NeighbourUncolouredError:
+            with pytest.raises(NeighbourUncolouredError):
+                forbidden_colours(g, pc, v, relaxed=relaxed)
+        else:
+            assert forbidden_colours(g, pc, v, relaxed=relaxed) == expected
+
+
 class TestFindOddColouring:
     def test_c5_needs_five(self, c5):
         assert find_odd_colouring(c5, 4) is None
@@ -87,6 +143,22 @@ class TestFindOddColouring:
                 if find_odd_colouring(g, k) is not None:
                     assert find_odd_colouring(g, k + 1) is not None
                     break
+
+
+class TestPruningPins:
+    """The node budget counts colour attempts, so the smallest budget that
+    decides an instance pins the vertex order, the colour order and both
+    pruning mechanisms: any change to them moves it."""
+
+    @pytest.mark.parametrize(
+        "params,k,budget,found",
+        [((8, 8, 0), 4, 168_865, True), ((3, 9, 1), 4, 68_477, False)],
+    )
+    def test_smallest_deciding_budget(self, params, k, budget, found):
+        g = generate(TorusParams(*params))
+        assert (find_odd_colouring(g, k, node_budget=budget) is not None) == found
+        with pytest.raises(ResourceLimitError):
+            find_odd_colouring(g, k, node_budget=budget - 1)
 
 
 class TestChiOdd:
