@@ -24,7 +24,7 @@ from pathlib import Path
 from . import construct, discharge, graphio, solver, torus
 from .colouring import (
     conflict_free_witness,
-    nice_witness,
+    nice_verdict,
     odd_witness,
     proper_witness,
 )
@@ -128,16 +128,14 @@ def cmd_verify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
-    ok = True
     edge = proper_witness(g, c)
     print(f"proper: {'yes' if edge is None else f'no (edge {edge})'}")
-    ok &= edge is None
     v = odd_witness(g, c)
     print(f"odd: {'yes' if v is None else f'no (vertex {v})'}")
-    ok &= v is None
-    witness = nice_witness(g, c)
+    # nice implies proper and odd, so its verdict alone decides the exit code
+    witness = nice_verdict(c, edge, v)
     print(f"nice: {'yes' if witness is None else f'no ({witness})'}")
-    ok &= witness is None
+    ok = witness is None
     if args.conflict_free:
         v = conflict_free_witness(g, c)
         print(f"conflict-free: {'yes' if v is None else f'no (vertex {v})'}")

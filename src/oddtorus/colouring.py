@@ -104,18 +104,25 @@ def conflict_free_witness(g: EmbeddedGraph, c: Colouring) -> int | None:
     return None
 
 
-def nice_witness(g: EmbeddedGraph, c: Colouring) -> str | None:
-    """Description of the first nice-colouring violation, or None."""
+def nice_verdict(
+    c: Colouring, edge: tuple[int, int] | None, vertex: int | None
+) -> str | None:
+    """The nice_witness of c given its proper and odd witnesses: the
+    colour bound is checked here, the rest is read off the witnesses."""
     over = sorted(x for x in c.colours_used() if x > NICE_COLOUR_BOUND)
     if over:
         return f"colour {over[0]} exceeds {NICE_COLOUR_BOUND}"
-    edge = proper_witness(g, c)
     if edge is not None:
         return f"edge {edge} is monochromatic (colour {c[edge[0]]})"
-    v = odd_witness(g, c)
-    if v is not None:
-        return f"vertex {v} has no odd colour in its neighbourhood"
+    if vertex is not None:
+        return f"vertex {vertex} has no odd colour in its neighbourhood"
     return None
+
+
+def nice_witness(g: EmbeddedGraph, c: Colouring) -> str | None:
+    """Description of the first nice-colouring violation, or None."""
+    edge = proper_witness(g, c)
+    return nice_verdict(c, edge, None if edge is not None else odd_witness(g, c))
 
 
 def is_proper(g: EmbeddedGraph, c: Colouring) -> bool:

@@ -10,11 +10,11 @@ colour set); vertices that are bad both ways are the only places the
 base colouring can fail to be odd, and each residue pair (m mod 3,
 n mod 3) has its own small recolouring that repairs them.
 
-For m = 2 the two columns use C1 and C2 and two vertices are recoloured
-7 and 8, found by a deterministic search.  For m = 1 the vertex circle
-is cut into intervals of length t, the intervals are distributed over
-the three classes, and each class is coloured along the induced paths
-(a single induced cycle appears when there are exactly four intervals).
+For m = 2 the columns use C1 and C2, and two vertices of column 1 at
+rows given in closed form by n and t are recoloured 7 and 8.  For m = 1
+the vertex circle is cut into intervals of length t, the intervals are
+distributed over the three classes, and each class is coloured along the
+induced paths (a single induced cycle when there are four intervals).
 
 Every constructed colouring is verified nice before being returned;
 ConstructionFailedError signals a contract violation, never a
@@ -149,29 +149,46 @@ def colour_m_ge3(p: TorusParams) -> Colouring:
 
 
 def colour_m2(p: TorusParams) -> Colouring:
-    """Nice colouring of T(2,n,t).
+    """Nice colouring of T(2,n,t): the base colouring, with two vertices
+    of column 1 recoloured 7 and 8 unless n = 0 (mod 3).
 
-    With no bad rows (n = 0 mod 3) the base colouring already works.
-    Otherwise two vertices get the fresh colours 7 and 8; the pair is
-    found by trying ordered pairs of distinct non-adjacent vertices in
-    lexicographic order and accepting the first that verifies nice.
+    (1,j) sees rows j-1, j+1 of column 1 and j-1, j, j+t, j+t+1 of
+    column 2; (2,j) sees rows j-1, j+1 of column 2 and j, j+1, j-t-1, j-t
+    of column 1.  Adjacent rows differ in within-class index, so a vertex
+    is not odd only in a bad row (rows j-1 and j+1 share an index) whose
+    two row pairs in the other column carry the same two indices.  On
+    simple T(2,n,t), 1 <= t <= n-3, that happens exactly at
+
+        n = 1, t = 0 (mod 3): (1,1), (2,1), (1,n-1), (2,n-1)
+        n = 2, t = 0 (mod 3): (1,1), (2,n)
+        n = 2, t = 1 (mod 3): (2,1), (1,n)
+
+    Recolouring non-adjacent u -> 7, w -> 8 keeps the colouring proper,
+    makes each neighbour of u or w odd (7 or 8 occurs there once) and
+    changes no other neighbourhood, so u and w must avoid those vertices
+    and between them be adjacent to all of them:
+
+        t != 0 (mod 3): (1,1), adjacent to (2,1) and (1,n), and (1,3)
+        t = 0 (mod 3): (1,2), adjacent to (1,1), (2,1), (2,t+3), and (1,r)
+            n = 2 (mod 3): r = n-t-1, adjacent to (2,n)
+            n = 1 (mod 3), t = n-4: r = n-2, adjacent to (1,n-1); (2,t+3) = (2,n-1)
+            otherwise: r = n, adjacent to (1,n-1) and (2,n-1)
     """
     if p.m != 2:
         raise ValueError("colour_m2 needs m = 2")
+    n, t = p.n, p.t
     g = generate(p)
-    base = base_colouring(2, p.n)
-    if p.n % 3 == 0:
+    base = base_colouring(2, n)
+    if n % 3 == 0:
         return _require_nice(g, base, p)
-    for u in g.vertices():
-        for w in g.vertices():
-            if w == u or g.has_edge(u, w):
-                continue
-            candidate = base.with_recoloured({u: 7, w: 8})
-            if nice_witness(g, candidate) is None:
-                return candidate
-    raise ConstructionFailedError(
-        (p.m, p.n, p.t), "no recolouring pair produced a nice colouring"
-    )
+    if t % 3:
+        rows = (1, 3)
+    elif n % 3 == 2:
+        rows = (2, n - t - 1)
+    else:
+        rows = (2, n - 2 if t == n - 4 else n)
+    changes = {vertex_id(p, 1, rows[0]): 7, vertex_id(p, 1, rows[1]): 8}
+    return _require_nice(g, base.with_recoloured(changes), p)
 
 
 @dataclass(frozen=True)
@@ -218,55 +235,26 @@ class IntervalPartition:
         return tuple(sorted(out))
 
 
-def _induced_components(g: EmbeddedGraph, members: tuple[int, ...]):
-    """Connected components of the induced subgraph, with adjacency.
-
-    Returns a list of (vertices, adjacency) pairs sorted by smallest
-    vertex; adjacency maps each vertex to its sorted induced neighbours.
-    """
+def _class_walks(g: EmbeddedGraph, members: tuple[int, ...]):
+    """Yield each component of the subgraph induced by members, which must
+    be paths or cycles, as (walk, is_cycle).  A path starts at its smaller
+    endpoint, a cycle at its smallest vertex stepping towards its smaller
+    neighbour."""
     member_set = set(members)
-    adjacency = {
-        v: sorted(w for w in g.rotation(v) if w in member_set) for v in members
-    }
+    adjacency = {v: sorted(w for w in g.rotation(v) if w in member_set) for v in members}
+    if any(len(nbrs) > 2 for nbrs in adjacency.values()):
+        raise AssertionError("induced class subgraph is not a union of paths/cycles")
     seen: set[int] = set()
-    components = []
-    for v in sorted(members):
+    # ascending endpoints first: each path is entered at its smaller end
+    for v in sorted(x for x in members if len(adjacency[x]) < 2) + sorted(members):
         if v in seen:
             continue
-        comp = []
-        stack = [v]
-        seen.add(v)
-        while stack:
-            x = stack.pop()
-            comp.append(x)
-            for y in adjacency[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        components.append((sorted(comp), adjacency))
-    return components
-
-
-def _order_along(comp: list[int], adjacency) -> tuple[list[int], bool]:
-    """Order a degree <= 2 component along its path or cycle.
-
-    Paths start at the smaller endpoint; cycles start at the smallest
-    vertex and step towards its smaller neighbour.  Returns the ordered
-    vertices and whether the component is a cycle.
-    """
-    degrees = {v: len(adjacency[v]) for v in comp}
-    if any(d > 2 for d in degrees.values()):
-        raise AssertionError("induced class subgraph is not a union of paths/cycles")
-    endpoints = sorted(v for v in comp if degrees[v] <= 1)
-    is_cycle = not endpoints
-    start = min(comp) if is_cycle else endpoints[0]
-    order = [start]
-    prev = None
-    while len(order) < len(comp):
-        nxt = [w for w in adjacency[order[-1]] if w != prev]
-        prev = order[-1]
-        order.append(nxt[0])
-    return order, is_cycle
+        walk, nxt = [], [v]
+        while nxt:
+            walk.append(nxt[0])
+            seen.add(nxt[0])
+            nxt = [w for w in adjacency[nxt[0]] if w not in seen]
+        yield walk, len(adjacency[v]) == 2
 
 
 def _cycle_pattern(length: int) -> list[int]:
@@ -300,8 +288,7 @@ def colour_m1(n: int, t: int) -> Colouring:
     assignment: dict[int, int] = {}
     for class_idx in (1, 2, 3):
         cls = COLOUR_CLASSES[class_idx - 1]
-        for comp, adjacency in _induced_components(g, part.class_members(class_idx)):
-            order, is_cycle = _order_along(comp, adjacency)
+        for order, is_cycle in _class_walks(g, part.class_members(class_idx)):
             if is_cycle:
                 pattern = _cycle_pattern(len(order))
             else:

@@ -159,7 +159,8 @@ def find_odd_colouring(
     if not solve(0, 0):
         return None
     result = Colouring({v: colour[v] for v in g.vertices()})
-    assert is_proper(g, result) and is_odd(g, result), "solver returned a bad colouring"
+    if not (is_proper(g, result) and is_odd(g, result)):
+        raise AssertionError("solver returned a bad colouring")
     return result
 
 
@@ -225,6 +226,7 @@ def chi_odd_bruteforce(
     for k in range(1, k_max + 1):
         if enumerate_from(1, k):
             result = Colouring({v: colour[v] for v in g.vertices()})
-            assert is_proper(g, result) and is_odd(g, result)
+            if not (is_proper(g, result) and is_odd(g, result)):
+                raise AssertionError("solver returned a bad colouring")
             return k
     return None

@@ -84,13 +84,14 @@ def test_criterion_2_reference_instances():
         # m = 1 reference instance: exact equality of the whole colouring
         c = colour_m1(13, 4)
         assert [c[v] for v in range(1, 14)] == [1, 2, 3, 1, 4, 5, 6, 5, 7, 8, 9, 7, 6]
-        # m = 2 reference instance, up to the documented pair-search decision:
-        # exactly two vertices recoloured, with colours 7 and 8
+        # m = 2 reference instance: exact recoloured set
         p = TorusParams(2, 5, 2)
         c = colour_torus(p)
         base = base_colouring(2, 5)
-        changed = {v: c[v] for v in generate(p).vertices() if c[v] != base[v]}
-        assert sorted(changed.values()) == [7, 8]
+        changed = {
+            vertex_coords(p, v): c[v] for v in generate(p).vertices() if c[v] != base[v]
+        }
+        assert changed == {(1, 1): 7, (1, 3): 8}, f"T{p}: {changed}"
         assert is_nice(generate(p), c)
 
     report("criterion 2: reference-instance recolouring sets match exactly", check)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from oddtorus.cli import main
+from oddtorus.colouring import Colouring, nice_witness, odd_witness, proper_witness
 from oddtorus.graphio import parse_colouring, parse_graph, write_colouring, write_graph
 
 from conftest import cycle_graph
@@ -100,6 +101,33 @@ class TestVerify:
         cp = tmp_path / "c.col"
         cp.write_text("1 1\n")
         assert main(["verify", str(gp), str(cp)]) == 2
+
+    @pytest.mark.parametrize(
+        "k, colours",
+        [
+            (5, [1, 2, 3, 4, 5]),  # nice
+            (5, [1, 2, 1, 2, 1]),  # improper
+            (4, [1, 2, 1, 2]),  # proper, not odd
+            (5, [1, 2, 3, 4, 10]),  # proper, odd, colour above 9
+            (4, [10, 2, 10, 2]),  # colour above 9 and not odd
+            (5, [10, 2, 1, 2, 10]),  # colour above 9 and improper
+        ],
+    )
+    def test_verdicts_match_witness_functions(self, tmp_path, capsys, k, colours):
+        g = cycle_graph(k)
+        c = Colouring(dict(enumerate(colours, start=1)))
+        gp = tmp_path / "g.og"
+        gp.write_text(write_graph(g))
+        cp = tmp_path / "c.col"
+        cp.write_text(write_colouring(c))
+        edge, v, nice = proper_witness(g, c), odd_witness(g, c), nice_witness(g, c)
+        expected = [
+            f"proper: {'yes' if edge is None else f'no (edge {edge})'}",
+            f"odd: {'yes' if v is None else f'no (vertex {v})'}",
+            f"nice: {'yes' if nice is None else f'no ({nice})'}",
+        ]
+        assert main(["verify", str(gp), str(cp)]) == (0 if nice is None else 1)
+        assert capsys.readouterr().out.splitlines() == expected
 
 
 class TestChiOdd:

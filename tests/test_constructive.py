@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from oddtorus.colouring import is_nice
+from oddtorus.colouring import Colouring, is_nice, nice_witness, odd_colours
 from oddtorus.construct import (
     COLOUR_CLASSES,
     IntervalPartition,
@@ -150,14 +150,74 @@ class TestReferenceInstances:
         assert [c[v] for v in range(1, 14)] == [1, 2, 3, 1, 4, 5, 6, 5, 7, 8, 9, 7, 6]
 
     def test_t252_two_vertices_recoloured_seven_eight(self):
-        # pair selection is a documented search decision; only the
-        # shape of the repair is pinned, not one specific pair
-        changed = recoloured_map(TorusParams(2, 5, 2))
-        assert sorted(changed.values()) == [7, 8]
+        assert recoloured_map(TorusParams(2, 5, 2)) == {(1, 1): 7, (1, 3): 8}
         assert is_nice(generate(TorusParams(2, 5, 2)), colour_torus(TorusParams(2, 5, 2)))
 
 
+def search_m2(p: TorusParams) -> Colouring:
+    """Test oracle for colour_m2: the base colouring with the first ordered
+    pair (u, w) of distinct non-adjacent vertices, in lexicographic order,
+    whose recolouring u -> 7, w -> 8 the verifier accepts."""
+    g = generate(p)
+    base = base_colouring(2, p.n)
+    for u in g.vertices():
+        for w in g.vertices():
+            if w == u or g.has_edge(u, w):
+                continue
+            candidate = base.with_recoloured({u: 7, w: 8})
+            if nice_witness(g, candidate) is None:
+                return candidate
+    raise AssertionError(f"no recolouring pair makes T{p} nice")
+
+
+def base_not_odd_m2(n: int, t: int) -> set[tuple[int, int]]:
+    """Where the base colouring of simple T(2,n,t) is not odd, as stated
+    in the colour_m2 docstring."""
+    if t % 3 == 0 and n % 3 == 1:
+        return {(1, 1), (2, 1), (1, n - 1), (2, n - 1)}
+    if t % 3 == 0 and n % 3 == 2:
+        return {(1, 1), (2, n)}
+    if t % 3 == 1 and n % 3 == 2:
+        return {(2, 1), (1, n)}
+    return set()
+
+
 class TestColourM2:
+    def test_matches_search_oracle(self):
+        # the closed form picks the pair the old lexicographic search picked
+        for n in range(4, 36):
+            if n % 3 == 0:
+                continue
+            for t in range(1, n - 2):
+                p = TorusParams(2, n, t)
+                assert colour_m2(p).assignment == search_m2(p).assignment, f"T{p}"
+
+    def test_base_not_odd_vertices(self):
+        # the failures of the base colouring that the repair targets;
+        # simple T(2,n,t) are exactly those with n >= 4 and 1 <= t <= n-3
+        for n in range(1, 41):
+            for t in range(n):
+                p = TorusParams(2, n, t)
+                assert is_simple(p) == (n >= 4 and 1 <= t <= n - 3), f"T{p}"
+                if not is_simple(p):
+                    continue
+                g = generate(p)
+                base = base_colouring(2, n)
+                not_odd = {
+                    vertex_coords(p, v)
+                    for v in g.vertices()
+                    if not odd_colours(base.assignment, g.rotation(v))
+                }
+                assert not_odd == base_not_odd_m2(n, t), f"T{p}"
+
+    @pytest.mark.slow
+    def test_full_sweep_to_two_hundred(self):
+        for n in range(1, 201):
+            for t in range(n):
+                p = TorusParams(2, n, t)
+                if is_simple(p):
+                    assert is_nice(generate(p), colour_m2(p)), f"T{p}"
+
     def test_n_multiple_of_three_keeps_base(self):
         p = TorusParams(2, 6, 1)
         assert is_simple(p)

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oddtorus import solver
 from oddtorus.colouring import is_odd, is_proper
 from oddtorus.errors import NeighbourUncolouredError, ResourceLimitError
 from oddtorus.solver import (
@@ -191,3 +197,48 @@ class TestBruteforceOracle:
         for _ in range(60):
             g = random_graph(rng, rng.randint(1, 7), rng.uniform(0.1, 0.9))
             assert chi_odd(g, g.vertex_count) == chi_odd_bruteforce(g, g.vertex_count)
+
+
+class TestResultRecheck:
+    """A found colouring is handed out only if the public verifiers accept
+    it; the check is a raise, not an assert statement, so it also runs
+    under python -O."""
+
+    @pytest.mark.parametrize("verifier", ["is_proper", "is_odd"])
+    def test_find_odd_colouring_raises_on_rejection(self, monkeypatch, c5, verifier):
+        monkeypatch.setattr(solver, verifier, lambda g, c: False)
+        with pytest.raises(AssertionError, match="bad colouring"):
+            find_odd_colouring(c5, 5)
+
+    @pytest.mark.parametrize("verifier", ["is_proper", "is_odd"])
+    def test_bruteforce_raises_on_rejection(self, monkeypatch, c5, verifier):
+        monkeypatch.setattr(solver, verifier, lambda g, c: False)
+        with pytest.raises(AssertionError, match="bad colouring"):
+            chi_odd_bruteforce(c5, 5)
+
+    def test_recheck_survives_optimised_mode(self):
+        script = textwrap.dedent(
+            """
+            from oddtorus import solver
+            from oddtorus.torus import TorusParams, generate
+            assert False  # stripped under -O, so this line must not raise
+            solver.is_odd = lambda g, c: False
+            g = generate(TorusParams(1, 7, 2))
+            for search in (solver.find_odd_colouring, solver.chi_odd_bruteforce):
+                try:
+                    search(g, 7)
+                except AssertionError as exc:
+                    print("raised:", exc)
+            """
+        )
+        src = str(Path(solver.__file__).resolve().parents[1])
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == ["raised: solver returned a bad colouring"] * 2
