@@ -28,7 +28,7 @@ from .colouring import (
     odd_witness,
     proper_witness,
 )
-from .embedding import euler_characteristic, is_6regular_triangulation, trace_faces
+from .embedding import _surface
 from .errors import (
     ConstructionFailedError,
     DisconnectedGraphError,
@@ -198,9 +198,10 @@ def cmd_info(args) -> int:
         print("connected: no (Euler characteristic undefined per component contract)")
         return EXIT_OK
     print("connected: yes")
-    print(f"faces: {len(trace_faces(g))}")
-    print(f"euler characteristic: {euler_characteristic(g)}")
-    print(f"6-regular torus triangulation: {'yes' if is_6regular_triangulation(g) else 'no'}")
+    face_count, chi, triangulation = _surface(g)
+    print(f"faces: {face_count}")
+    print(f"euler characteristic: {chi}")
+    print(f"6-regular torus triangulation: {'yes' if triangulation else 'no'}")
     return EXIT_OK
 
 

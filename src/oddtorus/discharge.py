@@ -19,12 +19,19 @@ initial configuration (no rule reads updated charges):
 Multiple appearances of a vertex on one boundary walk count as separate
 incidences for R1-R3.  All amounts are Fractions; the only tolerated
 equality is exact equality.
+
+Exactness costs no Fraction addition per charge: ledger totals sum integer
+numerators grouped by denominator, the audit reads signs from numerators
+(denominators are positive), and equal integral charges share one Fraction.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from itertools import chain
 
 from .embedding import EmbeddedGraph, Face, trace_faces
 from .errors import (
@@ -81,9 +88,10 @@ class ChargeLedger:
 
     @property
     def total(self) -> Fraction:
-        return sum(self.vertex_charge.values(), Fraction(0)) + sum(
-            self.face_charge.values(), Fraction(0)
-        )
+        numerators: defaultdict[int, int] = defaultdict(int)
+        for q in chain(self.vertex_charge.values(), self.face_charge.values()):
+            numerators[q.denominator] += q.numerator
+        return sum(map(Fraction, numerators.values(), numerators), Fraction(0))
 
 
 def initial_charges(g: EmbeddedGraph) -> ChargeLedger:
@@ -91,11 +99,12 @@ def initial_charges(g: EmbeddedGraph) -> ChargeLedger:
     if not g.is_connected():
         raise DisconnectedGraphError("charge assignment requires a connected graph")
     faces = tuple(trace_faces(g))
+    shared = cache(Fraction)  # one Fraction per distinct integral charge
     return ChargeLedger(
         graph=g,
         faces=faces,
-        vertex_charge={v: Fraction(g.degree(v) - 6) for v in g.vertices()},
-        face_charge={i: Fraction(2 * f.size - 6) for i, f in enumerate(faces)},
+        vertex_charge={v: shared(g.degree(v) - 6) for v in g.vertices()},
+        face_charge={i: shared(2 * f.size - 6) for i, f in enumerate(faces)},
         phase="initial",
     )
 
@@ -228,19 +237,20 @@ def audit(ledger_before: ChargeLedger, ledger_after: ChargeLedger) -> AuditRepor
     if (ledger_before.phase, ledger_after.phase) != ("initial", "discharged"):
         raise PhaseError("audit expects an (initial, discharged) ledger pair")
     g = ledger_after.graph
+    before, after = ledger_before.total, ledger_after.total
     return AuditReport(
-        total_before=ledger_before.total,
-        total_after=ledger_after.total,
-        conserved=ledger_before.total == ledger_after.total,
+        total_before=before,
+        total_after=after,
+        conserved=before == after,
         negative_faces=tuple(
-            i for i, q in sorted(ledger_after.face_charge.items()) if q < 0
+            i for i, q in sorted(ledger_after.face_charge.items()) if q.numerator < 0
         ),
         negative_six_plus_vertices=tuple(
             v for v, q in sorted(ledger_after.vertex_charge.items())
-            if g.degree(v) >= 6 and q < 0
+            if g.degree(v) >= 6 and q.numerator < 0
         ),
         nonpositive_five_vertices=tuple(
             v for v, q in sorted(ledger_after.vertex_charge.items())
-            if g.degree(v) == 5 and q <= 0
+            if g.degree(v) == 5 and q.numerator <= 0
         ),
     )

@@ -186,33 +186,40 @@ def trace_faces(g: EmbeddedGraph) -> list[Face]:
     """Trace all faces of the embedding.
 
     The faces partition the directed edges; the sum of face sizes is
-    2|E|.  Directed edges are visited in ascending order, so each face
-    walk begins at its smallest directed edge and the returned list is
-    sorted by that edge.
+    2|E|.  Directed edges are visited in ascending order (vertex by
+    vertex, neighbours sorted), so each face walk begins at its smallest
+    directed edge and the returned list is sorted by that edge.  Tracing
+    (u, v) pops u from the next-after table of v, which marks it traced.
     """
     # next_after[v][u] = neighbour following u in rotation(v)
     next_after: list[dict[int, int]] = [{}]
     for v in g.vertices():
         rot = g.rotation(v)
-        d = len(rot)
-        next_after.append({rot[i]: rot[(i + 1) % d] for i in range(d)})
+        next_after.append(dict(zip(rot, rot[1:] + rot[:1])))
 
-    visited: set[tuple[int, int]] = set()
     faces: list[Face] = []
-    for start in sorted(g.directed_edges()):
-        if start in visited:
-            continue
-        walk = []
-        edge = start
-        while edge not in visited:
-            visited.add(edge)
-            walk.append(edge)
-            u, v = edge
-            edge = (v, next_after[v][u])
-        if edge != start:
-            raise AssertionError("face tracing did not close; invalid rotation system")
-        faces.append(Face(tuple(walk)))
+    for u0 in g.vertices():
+        for v0 in sorted(g.rotation(u0)):
+            if u0 not in next_after[v0]:
+                continue
+            walk = []
+            u, v = u0, v0
+            while (w := next_after[v].pop(u, None)) is not None:
+                walk.append((u, v))
+                u, v = v, w
+            if (u, v) != (u0, v0):
+                raise AssertionError("face tracing did not close; invalid rotation system")
+            faces.append(Face(tuple(walk)))
     return faces
+
+
+def _surface(g: EmbeddedGraph) -> tuple[int, int, bool]:
+    """Face count, chi and the 6-regular torus triangulation verdict of a
+    connected embedding, from one trace."""
+    faces = trace_faces(g)
+    chi = g.vertex_count - g.edge_count + len(faces)
+    regular = all(g.degree(v) == 6 for v in g.vertices())
+    return len(faces), chi, chi == 0 and regular and all(f.size == 3 for f in faces)
 
 
 def euler_characteristic(g: EmbeddedGraph) -> int:
@@ -224,16 +231,11 @@ def euler_characteristic(g: EmbeddedGraph) -> int:
     """
     if not g.is_connected():
         raise DisconnectedGraphError("Euler characteristic requires a connected graph")
-    return g.vertex_count - g.edge_count + len(trace_faces(g))
+    return _surface(g)[1]
 
 
 def is_6regular_triangulation(g: EmbeddedGraph) -> bool:
     """True iff every degree is 6, every face a triangle, and chi = 0."""
     if not g.is_connected():
         raise DisconnectedGraphError("triangulation check requires a connected graph")
-    if any(g.degree(v) != 6 for v in g.vertices()):
-        return False
-    faces = trace_faces(g)
-    if any(f.size != 3 for f in faces):
-        return False
-    return g.vertex_count - g.edge_count + len(faces) == 0
+    return _surface(g)[2]

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import strategies as st
 
 from oddtorus.embedding import EmbeddedGraph, build_embedded_graph
+from oddtorus.torus import TorusParams, generate
 
 
 def cycle_graph(k: int) -> EmbeddedGraph:
@@ -72,6 +73,30 @@ def random_connected_embedding(rng: random.Random, n: int, extra_max: int | None
     return build_embedded_graph(adj)
 
 
+def scrambled_torus(m: int, n: int, t: int, ops: int, seed: int) -> EmbeddedGraph:
+    """T(m,n,t) after ``ops`` seeded attempts to delete an edge (keeping
+    degrees >= 3) or to add one at random positions of both rotations.
+
+    The result is simple but usually no longer embedded on the torus, so
+    its charges do not cancel and all four discharging rules fire."""
+    rng = random.Random(seed)
+    g = generate(TorusParams(m, n, t))
+    rot = {v: list(g.rotation(v)) for v in g.vertices()}
+    for _ in range(ops):
+        u = rng.randint(1, len(rot))
+        v = rng.choice(rot[u])
+        if rng.random() < 0.5:
+            if len(rot[u]) > 3 and len(rot[v]) > 3:
+                rot[u].remove(v)
+                rot[v].remove(u)
+        else:
+            w = rng.randint(1, len(rot))
+            if w != u and w not in rot[u]:
+                rot[u].insert(rng.randrange(len(rot[u]) + 1), w)
+                rot[w].insert(rng.randrange(len(rot[w]) + 1), u)
+    return build_embedded_graph(rot)
+
+
 def random_graph(rng: random.Random, n: int, p: float) -> EmbeddedGraph:
     """G(n, p) with sorted rotations; may be disconnected."""
     adj: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
@@ -84,13 +109,10 @@ def random_graph(rng: random.Random, n: int, p: float) -> EmbeddedGraph:
 
 
 @st.composite
-def coloured_graphs(draw):
-    """Hypothesis strategy: (graph on 1..9 vertices, a colour per
-    vertex), colours not necessarily proper.
-
-    Colours come from a drawn palette of up to six small or huge values,
-    so that large colours also repeat within a neighbourhood."""
-    n = draw(st.integers(1, 9))
+def adjacencies(draw, max_n: int) -> dict[int, list[int]]:
+    """Hypothesis strategy: neighbour lists, in ascending order, of a
+    simple graph on 1..max_n vertices (possibly disconnected)."""
+    n = draw(st.integers(1, max_n))
     pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
     present = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     adj: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
@@ -98,6 +120,18 @@ def coloured_graphs(draw):
         if keep:
             adj[u].append(v)
             adj[v].append(u)
+    return adj
+
+
+@st.composite
+def coloured_graphs(draw):
+    """Hypothesis strategy: (graph on 1..9 vertices, a colour per
+    vertex), colours not necessarily proper.
+
+    Colours come from a drawn palette of up to six small or huge values,
+    so that large colours also repeat within a neighbourhood."""
+    adj = draw(adjacencies(9))
+    n = len(adj)
     palette = draw(
         st.lists(
             st.one_of(st.integers(1, 12), st.integers(10**9, 10**40)),

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+from collections import Counter
+from fractions import Fraction
+
 import pytest
 
+from oddtorus import embedding
 from oddtorus.cli import main
 from oddtorus.colouring import Colouring, nice_witness, odd_witness, proper_witness
+from oddtorus.discharge import rule_transfers
 from oddtorus.graphio import parse_colouring, parse_graph, write_colouring, write_graph
 
-from conftest import cycle_graph
+from conftest import cycle_graph, scrambled_torus
 
 
 @pytest.fixture
@@ -175,6 +180,25 @@ class TestDischarge:
         gp.write_text("og 1\nv 4\nr 1 2\nr 2 1\nr 3 4\nr 4 3\n")
         assert main(["discharge", str(gp)]) == 2
 
+    def test_scrambled_torus_audit_pinned(self, tmp_path, capsys):
+        # V - E + F = -16, so the total is 96; every rule fires, R2 both
+        # at 1 and at the 3/4 of a (5, 5, 6+, 6+) face
+        g = scrambled_torus(8, 8, 3, 16, seed=0)
+        transfers = rule_transfers(g, tuple(embedding.trace_faces(g)))
+        assert Counter(tr.rule for tr in transfers) == {"R1": 9, "R2": 13, "R3": 3, "R4": 8}
+        assert sum(tr.amount == Fraction(3, 4) for tr in transfers if tr.rule == "R2") == 2
+        gp = tmp_path / "scrambled.og"
+        gp.write_text(write_graph(g))
+        assert main(["discharge", str(gp)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "total before: 96/1",
+            "total after: 96/1",
+            "conserved: yes",
+            "negative faces: [19, 51]",
+            "negative 6+-vertices: []",
+            "5-vertices with final charge <= 0: [7, 13, 58]",
+        ]
+
 
 class TestInfo:
     def test_torus_summary(self, t464, capsys):
@@ -208,3 +232,26 @@ class TestInfo:
         gp = tmp_path / "bad.og"
         gp.write_text("og 9\n")
         assert main(["info", str(gp)]) == 2
+
+    def test_one_trace_per_run(self, tmp_path, t464, k4_planar, capsys, monkeypatch):
+        traces = []
+        original = embedding.trace_faces
+        monkeypatch.setattr(
+            embedding, "trace_faces", lambda g: traces.append(g) or original(g)
+        )
+        k4 = tmp_path / "k4.og"
+        k4.write_text(write_graph(k4_planar))
+        common = ["edge bound E <= 3V: yes", "connected: yes"]
+        cases = [
+            (t464, ["vertices: 24", "edges: 72", "degree histogram: 6:24", *common,
+                    "faces: 48", "euler characteristic: 0",
+                    "6-regular torus triangulation: yes"]),
+            (k4, ["vertices: 4", "edges: 6", "degree histogram: 3:4", *common,
+                  "faces: 4", "euler characteristic: 2",
+                  "6-regular torus triangulation: no"]),
+        ]
+        for path, expected in cases:
+            traces.clear()
+            assert main(["info", str(path)]) == 0
+            assert len(traces) == 1
+            assert capsys.readouterr().out.splitlines() == expected

@@ -6,8 +6,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oddtorus.discharge import (
+    ChargeLedger,
     apply_rules,
     audit,
     blocks,
@@ -23,7 +26,12 @@ from oddtorus.errors import (
 )
 from oddtorus.torus import TorusParams, generate, is_simple
 
-from conftest import cycle_graph, embedding_from_points, random_connected_embedding
+from conftest import (
+    cycle_graph,
+    embedding_from_points,
+    random_connected_embedding,
+    scrambled_torus,
+)
 
 
 def star_fixture(ring_degrees: list[int]):
@@ -38,6 +46,47 @@ def star_fixture(ring_degrees: list[int]):
         for p in pendants:
             rotations[p] = [ring_v]
     return build_embedded_graph(rotations)
+
+
+def assert_audit_matches_definitions(before: ChargeLedger, after: ChargeLedger) -> None:
+    """Totals and sign lists equal their plain Fraction definitions."""
+    g = after.graph
+    naive = []
+    for ledger in (before, after):
+        charges = [*ledger.vertex_charge.values(), *ledger.face_charge.values()]
+        assert all(type(q) is Fraction for q in charges)
+        naive.append(
+            sum(ledger.vertex_charge.values(), Fraction(0))
+            + sum(ledger.face_charge.values(), Fraction(0))
+        )
+        assert type(ledger.total) is Fraction and ledger.total == naive[-1]
+    report = audit(before, after)
+    assert (report.total_before, report.total_after) == tuple(naive)
+    assert report.conserved == (naive[0] == naive[1])
+    assert report.negative_faces == tuple(
+        i for i, q in sorted(after.face_charge.items()) if q < 0
+    )
+    assert report.negative_six_plus_vertices == tuple(
+        v for v, q in sorted(after.vertex_charge.items()) if g.degree(v) >= 6 and q < 0
+    )
+    assert report.nonpositive_five_vertices == tuple(
+        v for v, q in sorted(after.vertex_charge.items()) if g.degree(v) == 5 and q <= 0
+    )
+
+
+# Denominators mix small values, powers of two and large primes
+# (2^31 - 1, 2^61 - 1, 2^127 - 1), so that sums need many distinct ones.
+DENOMINATORS = st.one_of(
+    st.integers(1, 30),
+    st.sampled_from([2**10, 2**64, 2**31 - 1, 2**61 - 1, 2**127 - 1, 10**9 + 7]),
+)
+NUMERATORS = st.one_of(
+    st.just(0), st.integers(-50, 50), st.integers(-(10**40), 10**40),
+    st.sampled_from([10**30 + 1, -(10**31) - 7]),
+)
+CHARGES = st.builds(Fraction, NUMERATORS, DENOMINATORS)
+SCRAMBLED = scrambled_torus(8, 8, 3, 16, seed=0)
+SCRAMBLED_FACES = tuple(trace_faces(SCRAMBLED))
 
 
 class TestInitialCharges:
@@ -62,6 +111,12 @@ class TestInitialCharges:
         g = build_embedded_graph({1: [2], 2: [1], 3: [4], 4: [3]})
         with pytest.raises(DisconnectedGraphError):
             initial_charges(g)
+
+    def test_one_fraction_per_charge_value(self):
+        led = initial_charges(SCRAMBLED)
+        charges = [*led.vertex_charge.values(), *led.face_charge.values()]
+        assert all(type(q) is Fraction and q.denominator == 1 for q in charges)
+        assert len({id(q) for q in charges}) == len(set(charges)) > 1
 
 
 class TestBlocks:
@@ -280,6 +335,43 @@ class TestConservationProperty:
         g = star_fixture([5, 6, 5, 6, 5, 5, 6, 6])
         for tr in rule_transfers(g, tuple(trace_faces(g))):
             assert isinstance(tr.amount, Fraction)
+
+    def test_audit_matches_definitions(self):
+        rng = random.Random(909)
+        cases = [random_connected_embedding(rng, rng.randint(4, 14)) for _ in range(100)]
+        rng = random.Random(910)
+        cases += [random_connected_embedding(rng, rng.randint(4, 14)) for _ in range(40)]
+        cases += [star_fixture([5, 6, 5, 6, 5, 5, 6, 6]), SCRAMBLED]
+        for g in cases:
+            before = initial_charges(g)
+            assert_audit_matches_definitions(before, apply_rules(g, before))
+
+    @given(
+        st.lists(CHARGES, min_size=1, max_size=40),
+        st.lists(CHARGES, min_size=1, max_size=40),
+        st.lists(CHARGES, min_size=1, max_size=40),
+    )
+    def test_exact_on_arbitrary_charges(self, vertex_values, before_faces, after_faces):
+        # Charges are cycled over the vertices and faces of a graph whose
+        # degrees include 5, 6 and 7+, so every sign list is exercised.
+        def ledger(vertex_values, face_values, phase):
+            return ChargeLedger(
+                graph=SCRAMBLED,
+                faces=SCRAMBLED_FACES,
+                vertex_charge={
+                    v: vertex_values[v % len(vertex_values)] for v in SCRAMBLED.vertices()
+                },
+                face_charge={
+                    i: face_values[i % len(face_values)] for i in range(len(SCRAMBLED_FACES))
+                },
+                phase=phase,
+            )
+
+        before = ledger(vertex_values, before_faces, "initial")
+        moved = ledger(vertex_values[::-1], after_faces, "discharged")
+        assert_audit_matches_definitions(before, moved)
+        unmoved = ledger(vertex_values, before_faces, "discharged")
+        assert_audit_matches_definitions(before, unmoved)
 
     def test_torus_sweep_identity(self):
         zero = Fraction(0)

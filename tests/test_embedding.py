@@ -5,8 +5,12 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oddtorus.embedding import (
+    EmbeddedGraph,
+    Face,
     build_embedded_graph,
     euler_characteristic,
     is_6regular_triangulation,
@@ -18,9 +22,49 @@ from oddtorus.errors import (
     RepeatedNeighbourError,
     SelfLoopError,
 )
-from oddtorus.torus import TorusParams, generate
+from oddtorus.torus import TorusParams, generate, is_simple
 
-from conftest import cycle_graph, random_connected_embedding
+from conftest import adjacencies, cycle_graph, path_graph, random_connected_embedding
+
+
+def reference_trace_faces(g: EmbeddedGraph) -> list[Face]:
+    """The straightforward tracer: sort every directed edge, start a walk
+    at each one not yet visited.  Oracle for trace_faces."""
+    next_after: list[dict[int, int]] = [{}]
+    for v in g.vertices():
+        rot = g.rotation(v)
+        d = len(rot)
+        next_after.append({rot[i]: rot[(i + 1) % d] for i in range(d)})
+
+    visited: set[tuple[int, int]] = set()
+    faces: list[Face] = []
+    for start in sorted(g.directed_edges()):
+        if start in visited:
+            continue
+        walk = []
+        edge = start
+        while edge not in visited:
+            visited.add(edge)
+            walk.append(edge)
+            u, v = edge
+            edge = (v, next_after[v][u])
+        if edge != start:
+            raise AssertionError("face tracing did not close; invalid rotation system")
+        faces.append(Face(tuple(walk)))
+    return faces
+
+
+def assert_traced_like_reference(g: EmbeddedGraph) -> None:
+    assert [f.walk for f in trace_faces(g)] == [f.walk for f in reference_trace_faces(g)]
+
+
+@st.composite
+def rotation_systems(draw):
+    """Hypothesis strategy: a simple graph on 1..10 vertices, possibly
+    disconnected or with isolated vertices, with every rotation an
+    arbitrary permutation of the neighbours."""
+    adj = draw(adjacencies(10))
+    return build_embedded_graph({v: draw(st.permutations(ws)) for v, ws in adj.items()})
 
 
 class TestBuild:
@@ -81,6 +125,48 @@ class TestTraceFaces:
 
     def test_face_sizes_sum_to_twice_edges(self, k4_planar):
         assert sum(f.size for f in trace_faces(k4_planar)) == 2 * k4_planar.edge_count
+
+    def test_unclosed_walk_raises(self):
+        # Only reachable by bypassing build_embedded_graph: 2 lists 1 but
+        # 3 does not list 1, so the walk from (1, 2) runs off at (1, 3).
+        g = EmbeddedGraph(((), (2, 3), (1,), ()))
+        with pytest.raises(AssertionError, match="did not close"):
+            trace_faces(g)
+
+
+class TestTraceFacesMatchesReference:
+    def test_small_torus_family(self):
+        for m in range(1, 7):
+            for n in range(1, 11):
+                for t in range(n):
+                    p = TorusParams(m, n, t)
+                    if is_simple(p):
+                        assert_traced_like_reference(generate(p))
+
+    @pytest.mark.parametrize("seed", [101, 202, 303])
+    def test_random_embeddings(self, seed):
+        rng = random.Random(seed)
+        for _ in range(50):
+            assert_traced_like_reference(random_connected_embedding(rng, rng.randint(2, 16)))
+
+    def test_walks_revisiting_vertices(self):
+        # a tree has one face, which passes each vertex once per incident edge
+        cases = [path_graph(k) for k in range(2, 8)]
+        for k in range(1, 7):
+            leaves = range(2, k + 2)
+            cases.append(build_embedded_graph({1: list(leaves), **{v: [1] for v in leaves}}))
+        cases += [
+            build_embedded_graph({1: [2], 2: [1], 3: []}),
+            build_embedded_graph({1: [], 2: [3, 4], 3: [2], 4: [2], 5: []}),
+            build_embedded_graph({1: []}),
+            build_embedded_graph({1: [2, 3, 4], 2: [1, 5], 3: [1], 4: [1], 5: [2]}),
+        ]
+        for g in cases:
+            assert_traced_like_reference(g)
+
+    @given(rotation_systems())
+    def test_random_rotation_systems(self, g):
+        assert_traced_like_reference(g)
 
 
 class TestEulerCharacteristic:
