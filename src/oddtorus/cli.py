@@ -7,7 +7,7 @@ Exit codes (stable contract):
     1  verification or construction failure
     2  input, parse, or parameter error
     3  IO failure
-    4  search budget exceeded
+    4  search budget or recursion depth exceeded
 
 Charge amounts always print as exact rationals "p/q", never as decimal
 floats.  For T(m,n,t) outputs the grid coordinate (i,j) is printed
@@ -105,11 +105,14 @@ def cmd_colour(args) -> int:
 
     # colour_torus verified the colouring nice or raised above.
     if p.m >= 2:
-        base = construct.base_colouring(p.m, p.n)
-        changed = sorted(v for v in c.assignment if c[v] != base[v])
-        for v in changed:
-            i, j = torus.vertex_coords(p, v)
-            print(f"recoloured vertex {v} = ({i},{j}): {base[v]} -> {c[v]}")
+        # list the cells whose colour differs from the base colouring
+        within = [construct.row_within_index(p.n, j) - 1 for j in range(1, p.n + 1)]
+        for i in range(1, p.m + 1):
+            cls = construct.COLOUR_CLASSES[construct.column_class(p.m, i) - 1]
+            for j, idx in enumerate(within, 1):
+                v = torus.vertex_id(p, i, j)
+                if c[v] != cls[idx]:
+                    print(f"recoloured vertex {v} = ({i},{j}): {cls[idx]} -> {c[v]}")
     else:
         for v in sorted(c.assignment):
             i, j = torus.vertex_coords(p, v)
@@ -153,8 +156,9 @@ def cmd_chi_odd(args) -> int:
     # flag is accepted to keep the interface contract stable.
     try:
         result = solver.chi_odd(g, args.max_k, node_budget=args.budget)
-    except ResourceLimitError:
+    except ResourceLimitError as exc:
         print("budget exceeded")
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     if result is None:
         print(f"none <= {args.max_k}")

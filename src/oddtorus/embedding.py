@@ -40,11 +40,18 @@ class EmbeddedGraph:
 
     __slots__ = ("_rotation", "_adjacency", "_edge_count")
 
-    def __init__(self, rotation: tuple[tuple[int, ...], ...]):
+    def __init__(
+        self,
+        rotation: tuple[tuple[int, ...], ...],
+        adjacency: tuple[frozenset[int], ...] | None = None,
+    ):
         # rotation[0] is the dummy entry; validation happens in
         # build_embedded_graph so this stays a cheap internal constructor.
+        # adjacency, when given, must hold the frozenset of each rotation.
         self._rotation = rotation
-        self._adjacency = tuple(frozenset(nbrs) for nbrs in rotation)
+        if adjacency is None:
+            adjacency = tuple(frozenset(nbrs) for nbrs in rotation)
+        self._adjacency = adjacency
         self._edge_count = sum(len(nbrs) for nbrs in rotation) // 2
 
     @property
@@ -160,18 +167,20 @@ def build_embedded_graph(
     if n < 1:
         raise ValueError("graph must have at least one vertex")
 
+    sets = [frozenset()]
     for v in range(1, n + 1):
         for w in table[v]:
             if not isinstance(w, int) or not (1 <= w <= n):
                 raise NeighbourRangeError(
                     f"vertex {v} lists out-of-range neighbour {w!r}", vertex=v
                 )
-        if v in table[v]:
+        nbrs = frozenset(table[v])
+        if v in nbrs:
             raise SelfLoopError(f"vertex {v} lists itself", vertex=v)
-        if len(set(table[v])) != len(table[v]):
+        if len(nbrs) != len(table[v]):
             raise RepeatedNeighbourError(f"vertex {v} repeats a neighbour", vertex=v)
+        sets.append(nbrs)
 
-    sets = [set(nbrs) for nbrs in table]
     for v in range(1, n + 1):
         for w in table[v]:
             if v not in sets[w]:
@@ -179,7 +188,7 @@ def build_embedded_graph(
                     f"vertex {v} lists {w} but {w} does not list {v}", vertex=v
                 )
 
-    return EmbeddedGraph(tuple(table))
+    return EmbeddedGraph(tuple(table), tuple(sets))
 
 
 def trace_faces(g: EmbeddedGraph) -> list[Face]:

@@ -71,7 +71,8 @@ class NeighbourUncolouredError(Exception):
 
 
 class ResourceLimitError(Exception):
-    """Search node budget exceeded (distinct from unsatisfiability)."""
+    """Search node budget or recursion depth exceeded (distinct from
+    unsatisfiability)."""
 
 
 class DegreeTooSmallError(Exception):

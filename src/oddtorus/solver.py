@@ -1,10 +1,10 @@
 """Exact decision of odd k-colourability and the odd chromatic number.
 
-The solver backtracks over vertices in descending-degree order (ties by
-id), trying colours in ascending order with first-occurrence symmetry
-breaking: a vertex may use at most one colour beyond the largest colour
-used so far, which is sound because all verdicts are invariant under
-colour permutation.
+The solver backtracks over vertices in a static order, descending degree
+with ties by id, trying colours in ascending order with first-occurrence
+symmetry breaking: a vertex may use at most one colour beyond the
+largest colour used so far, which is sound because all verdicts are
+invariant under colour permutation.
 
 Properness bans the colours of v's coloured neighbours.  Oddness is
 enforced lazily through the parity of each vertex's coloured neighbours,
@@ -15,19 +15,32 @@ the banned colour is that element, because colouring v with it would
 leave every multiplicity in N(w) even.  The uniqueness of that colour
 follows from the representation: each neighbour bans at most one colour,
 so together with properness at most 2 deg(v) colours are ever excluded
-at v.  The search keeps each parity set as a bit mask (bit x for colour
-x <= k), XOR-ed as vertices are coloured and uncoloured, and reads both
-bans off bit masks.
+at v.
+
+Because the order is static, both bans are known per step before the
+search starts: step i colours order[i], its neighbours earlier in the
+order are exactly the coloured ones, and the neighbours w whose last
+neighbour in the order is order[i] are exactly those that can ban a
+colour by evening out.  The search builds that table once and codes
+each colour x <= k as the bit 1 << x (0 while uncoloured), so a step ORs
+its earlier neighbours' bits and, for each closing neighbour w, XORs the
+bits over the rotation of w (the uncoloured vertex adds 0) to get the
+parity set of N(w) as a bit mask.  Nothing is updated or undone when a
+colour is tried beyond storing its bit.
 
 chi_odd_bruteforce is an independent oracle: it enumerates proper
 assignments exhaustively in vertex-id order, with no symmetry breaking
 and no oddness pruning, and filters complete assignments with the
 direct multiset definition of oddness.  It shares none of the solver's
 machinery, so agreement between the two is meaningful evidence.
+
+Both searches recurse once per vertex; a graph too large for Python's
+recursion limit raises ResourceLimitError rather than RecursionError.
 """
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -90,6 +103,12 @@ def forbidden_colours(
     return forbidden
 
 
+def _too_deep(n: int) -> ResourceLimitError:
+    return ResourceLimitError(
+        f"search depth {n} exceeds the recursion limit ({sys.getrecursionlimit()})"
+    )
+
+
 def find_odd_colouring(
     g: EmbeddedGraph, k: int, *, node_budget: int | None = None
 ) -> Colouring | None:
@@ -99,66 +118,80 @@ def find_odd_colouring(
     against the verifier before being handed out.
 
     Raises:
-        ResourceLimitError: node budget exhausted before a decision.
+        ResourceLimitError: node budget exhausted before a decision, or
+            the search deeper than Python's recursion limit allows.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     n = g.vertex_count
     order = sorted(g.vertices(), key=lambda v: (-g.degree(v), v))
-    rotation = [()] + [g.rotation(v) for v in range(1, n + 1)]
-    colour = [0] * (n + 1)
-    uncoloured_nbrs = [0] + [g.degree(v) for v in range(1, n + 1)]
-    # bit x of mask[v] is set iff x is in odd_colours(colour, coloured
-    # neighbours of v)
-    mask = [0] * (n + 1)
-    nodes_left = [node_budget if node_budget is not None else -1]
+    position = {v: i for i, v in enumerate(order)}
+    # last[w]: the position of the last neighbour of w in the order
+    last = [-1] + [max((position[x] for x in g.rotation(w)), default=-1)
+                   for w in g.vertices()]
+    # Step i colours order[i]: its earlier neighbours ban their colours,
+    # and each neighbour w with last[w] == i bans the one colour of odd
+    # multiplicity in N(w), if there is exactly one.
+    steps = [
+        (
+            u,
+            tuple(w for w in g.rotation(u) if position[w] < i),
+            tuple(g.rotation(w) for w in g.rotation(u) if last[w] == i),
+        )
+        for i, u in enumerate(order)
+    ]
+    # degree order puts the isolated vertices last
+    active = sum(1 for v in order if g.degree(v))
+    # bit[v] = 1 << colour of v, and 0 while v is uncoloured
+    bit = [0] * (n + 1)
+    full = (2 << k) - 2
+    budget = node_budget if node_budget is not None else -1
 
-    def solve(idx: int, max_used: int) -> bool:
+    def solve(idx: int, allowed: int) -> bool:
+        # allowed: the bits of colours 1..min(k, largest used so far + 1)
+        nonlocal budget
         if idx == n:
             return True
-        u = order[idx]
-        if nodes_left[0] == 0:
+        if budget == 0:
             raise ResourceLimitError("node budget exceeded")
-        if not rotation[u]:
+        u, before, closing = steps[idx]
+        if idx >= active:
             # Isolated vertices are exempt from both constraints; colour 1
             # is always available and loses no solutions.
-            colour[u] = 1
-            if solve(idx + 1, max(max_used, 1)):
-                return True
-            colour[u] = 0
-            return False
-        # Bit x of taken is set iff x is forbidden at u.  Uncoloured
-        # neighbours contribute bit 0, and an empty mask bans nothing.
+            bit[u] = 2
+            return solve(idx + 1, (allowed | 4) & full)
         taken = 0
-        for w in rotation[u]:
-            taken |= 1 << colour[w]
-            if uncoloured_nbrs[w] == 1:
-                parity = mask[w]
-                if not parity & (parity - 1):
-                    taken |= parity
-        for x in range(1, min(k, max_used + 1) + 1):
-            bit = 1 << x
-            if taken & bit:
-                continue
-            if nodes_left[0] > 0:
-                nodes_left[0] -= 1
-            elif nodes_left[0] == 0:
+        for w in before:
+            taken |= bit[w]
+        for rotation in closing:
+            # u is uncoloured and adds 0: this is N(w) without u
+            parity = 0
+            for x in rotation:
+                parity ^= bit[x]
+            if not parity & (parity - 1):
+                taken |= parity
+        free = allowed & ~taken
+        while free:
+            b = free & -free
+            free ^= b
+            if budget > 0:
+                budget -= 1
+            elif budget == 0:
                 raise ResourceLimitError("node budget exceeded")
-            colour[u] = x
-            for w in rotation[u]:
-                mask[w] ^= bit
-                uncoloured_nbrs[w] -= 1
-            if solve(idx + 1, max(max_used, x)):
+            bit[u] = b
+            # colour b opens the next colour when it is the largest so far
+            if solve(idx + 1, (allowed | b << 1) & full):
                 return True
-            colour[u] = 0
-            for w in rotation[u]:
-                mask[w] ^= bit
-                uncoloured_nbrs[w] += 1
+        bit[u] = 0
         return False
 
-    if not solve(0, 0):
+    try:
+        found = solve(0, 2)
+    except RecursionError:
+        raise _too_deep(n) from None
+    if not found:
         return None
-    result = Colouring({v: colour[v] for v in g.vertices()})
+    result = Colouring({v: bit[v].bit_length() - 1 for v in g.vertices()})
     if not (is_proper(g, result) and is_odd(g, result)):
         raise AssertionError("solver returned a bad colouring")
     return result
@@ -186,6 +219,10 @@ def chi_odd_bruteforce(
     monochromatic; they could never pass the verifier) and accepts the
     first complete assignment that is odd by direct multiset count.  The
     accepted assignment is re-checked with the public verifiers.
+
+    Raises:
+        ResourceLimitError: node budget exhausted before a decision, or
+            the graph too large for Python's recursion limit.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
@@ -224,7 +261,11 @@ def chi_odd_bruteforce(
         return False
 
     for k in range(1, k_max + 1):
-        if enumerate_from(1, k):
+        try:
+            found = enumerate_from(1, k)
+        except RecursionError:
+            raise _too_deep(n) from None
+        if found:
             result = Colouring({v: colour[v] for v in g.vertices()})
             if not (is_proper(g, result) and is_odd(g, result)):
                 raise AssertionError("solver returned a bad colouring")

@@ -13,7 +13,7 @@ from oddtorus.colouring import Colouring, nice_witness, odd_witness, proper_witn
 from oddtorus.discharge import rule_transfers
 from oddtorus.graphio import parse_colouring, parse_graph, write_colouring, write_graph
 
-from conftest import cycle_graph, scrambled_torus
+from conftest import cycle_graph, path_graph, scrambled_torus
 
 
 @pytest.fixture
@@ -157,6 +157,15 @@ class TestChiOdd:
     def test_budget_exceeded_exits_four(self, tmp_path, t464, capsys):
         assert main(["chi-odd", str(t464), "--max-k", "9", "--budget", "5"]) == 4
         assert "budget exceeded" in capsys.readouterr().out
+
+    def test_recursion_depth_exits_four(self, tmp_path, capsys):
+        # k = 3 colours the path's 2000 vertices in one descent
+        gp = tmp_path / "p2000.og"
+        gp.write_text(write_graph(path_graph(2000)))
+        assert main(["chi-odd", str(gp), "--max-k", "9"]) == 4
+        out, err = capsys.readouterr()
+        assert out == "budget exceeded\n"
+        assert "depth 2000" in err and "Traceback" not in err
 
 
 class TestDischarge:

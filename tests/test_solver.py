@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import random
 import subprocess
@@ -10,11 +11,11 @@ import textwrap
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oddtorus import solver
-from oddtorus.colouring import is_odd, is_proper
+from oddtorus.colouring import Colouring, is_odd, is_proper
 from oddtorus.errors import NeighbourUncolouredError, ResourceLimitError
 from oddtorus.solver import (
     PartialColouring,
@@ -25,7 +26,107 @@ from oddtorus.solver import (
 )
 from oddtorus.torus import TorusParams, generate
 
-from conftest import coloured_graphs, cycle_graph, from_adjacency, path_graph, random_graph
+from conftest import (
+    adjacencies,
+    coloured_graphs,
+    cycle_graph,
+    from_adjacency,
+    path_graph,
+    random_graph,
+)
+
+POOL = Path(__file__).resolve().parents[1] / "bench" / "data" / "exact_pool.json"
+
+
+def reference_find_odd_colouring(g, k, *, node_budget=None):
+    """Reference for find_odd_colouring: the same search with the parity
+    of each vertex's coloured neighbours kept incrementally, a bit mask
+    XOR-ed and a count of uncoloured neighbours decremented at every
+    neighbour on each colour tried, and both undone on backtrack."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    n = g.vertex_count
+    order = sorted(g.vertices(), key=lambda v: (-g.degree(v), v))
+    rotation = [()] + [g.rotation(v) for v in range(1, n + 1)]
+    colour = [0] * (n + 1)
+    uncoloured_nbrs = [0] + [g.degree(v) for v in range(1, n + 1)]
+    # bit x of mask[v] is set iff x is in odd_colours(colour, coloured
+    # neighbours of v)
+    mask = [0] * (n + 1)
+    nodes_left = [node_budget if node_budget is not None else -1]
+
+    def solve(idx, max_used):
+        if idx == n:
+            return True
+        u = order[idx]
+        if nodes_left[0] == 0:
+            raise ResourceLimitError("node budget exceeded")
+        if not rotation[u]:
+            colour[u] = 1
+            if solve(idx + 1, max(max_used, 1)):
+                return True
+            colour[u] = 0
+            return False
+        taken = 0
+        for w in rotation[u]:
+            taken |= 1 << colour[w]
+            if uncoloured_nbrs[w] == 1:
+                parity = mask[w]
+                if not parity & (parity - 1):
+                    taken |= parity
+        for x in range(1, min(k, max_used + 1) + 1):
+            bit = 1 << x
+            if taken & bit:
+                continue
+            if nodes_left[0] > 0:
+                nodes_left[0] -= 1
+            elif nodes_left[0] == 0:
+                raise ResourceLimitError("node budget exceeded")
+            colour[u] = x
+            for w in rotation[u]:
+                mask[w] ^= bit
+                uncoloured_nbrs[w] -= 1
+            if solve(idx + 1, max(max_used, x)):
+                return True
+            colour[u] = 0
+            for w in rotation[u]:
+                mask[w] ^= bit
+                uncoloured_nbrs[w] += 1
+        return False
+
+    if not solve(0, 0):
+        return None
+    return Colouring({v: colour[v] for v in g.vertices()})
+
+
+def search_outcome(search, g, k, budget):
+    """The search's colouring or None, or "budget" when it raised
+    ResourceLimitError."""
+    try:
+        return search(g, k, node_budget=budget)
+    except ResourceLimitError:
+        return "budget"
+
+
+class SearchNodes:
+    """Counts entries into the solver's recursive search function while
+    installed, as the benchmark counts nodes."""
+
+    def __init__(self):
+        self.nodes = 0
+
+    def _hook(self, frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_name == "solve" and code.co_filename == solver.__file__:
+            self.nodes += 1
+
+    def __enter__(self):
+        sys.setprofile(self._hook)
+        return self
+
+    def __exit__(self, *exc):
+        sys.setprofile(None)
+        return False
 
 
 class TestForbiddenColours:
@@ -151,6 +252,61 @@ class TestFindOddColouring:
                     break
 
 
+class TestMatchesReference:
+    """find_odd_colouring against the incremental-mask reference: the
+    same colouring or None, and ResourceLimitError at the same budget."""
+
+    @settings(deadline=None)
+    @given(adjacencies(9), st.integers(1, 6), st.none() | st.integers(0, 400))
+    def test_random_graphs(self, adj, k, budget):
+        g = from_adjacency(adj)
+        assert search_outcome(find_odd_colouring, g, k, budget) == search_outcome(
+            reference_find_odd_colouring, g, k, budget
+        )
+
+    @pytest.mark.parametrize("params", [(8, 8, 0), (7, 8, 3), (3, 9, 1), (1, 7, 2)])
+    def test_torus_anchors(self, params):
+        g = generate(TorusParams(*params))
+        for k in range(1, 5):
+            assert find_odd_colouring(g, k, node_budget=300_000) == (
+                reference_find_odd_colouring(g, k, node_budget=300_000)
+            )
+
+
+@pytest.mark.slow
+class TestPinnedPool:
+    def test_every_pinned_run(self):
+        """Every k-run of the benchmark's pinned pool at budget 100k: the
+        pinned outcome and node count, and the reference's colouring."""
+        pool = json.loads(POOL.read_text(encoding="utf-8"))
+        assert len(pool["entries"]) == 807
+        for entry in pool["entries"]:
+            g = generate(TorusParams(entry["m"], entry["n"], entry["t"]))
+            for run in entry["per_k"]:
+                with SearchNodes() as counter:
+                    got = search_outcome(find_odd_colouring, g, run["k"], 100_000)
+                where = (entry["m"], entry["n"], entry["t"], run["k"])
+                outcome = "refuted" if got is None else "budget" if got == "budget" else "found"
+                assert (outcome, counter.nodes) == (run["outcome"], run["nodes"]), where
+                assert got == reference_find_odd_colouring(
+                    g, run["k"], node_budget=100_000
+                ), where
+
+
+class TestRecursionLimit:
+    """A search deeper than Python's recursion limit raises
+    ResourceLimitError, never RecursionError."""
+
+    def test_find_on_large_torus(self):
+        g = generate(TorusParams(40, 40, 7))
+        with pytest.raises(ResourceLimitError, match="depth 1600"):
+            find_odd_colouring(g, 9)
+
+    def test_bruteforce_on_long_path(self):
+        with pytest.raises(ResourceLimitError, match="depth 2000"):
+            chi_odd_bruteforce(path_graph(2000), 9)
+
+
 class TestPruningPins:
     """The node budget counts colour attempts, so the smallest budget that
     decides an instance pins the vertex order, the colour order and both
@@ -197,6 +353,14 @@ class TestBruteforceOracle:
         for _ in range(60):
             g = random_graph(rng, rng.randint(1, 7), rng.uniform(0.1, 0.9))
             assert chi_odd(g, g.vertex_count) == chi_odd_bruteforce(g, g.vertex_count)
+
+
+class TestChiOddMatchesBruteforce:
+    @settings(deadline=None)
+    @given(adjacencies(8))
+    def test_random_graphs(self, adj):
+        g = from_adjacency(adj)
+        assert chi_odd(g, g.vertex_count) == chi_odd_bruteforce(g, g.vertex_count)
 
 
 class TestResultRecheck:
