@@ -55,8 +55,15 @@ def _write_output(path: str | None, text: str) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise GraphFileError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def _load_graph(path: str):
-    return graphio.parse_graph(Path(path).read_text(encoding="utf-8"))
+    return graphio.parse_graph(_read_text(path))
 
 
 def _params(args) -> torus.TorusParams:
@@ -124,9 +131,7 @@ def cmd_colour(args) -> int:
 def cmd_verify(args) -> int:
     try:
         g = _load_graph(args.graph)
-        c = graphio.parse_colouring(
-            Path(args.colouring).read_text(encoding="utf-8"), graph=g
-        )
+        c = graphio.parse_colouring(_read_text(args.colouring), graph=g)
     except (OSError, GraphFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -35,7 +35,9 @@ class EmbeddedGraph:
     """Immutable simple graph with a combinatorial embedding.
 
     Construct through :func:`build_embedded_graph`, which validates the
-    rotation system.  Isolated vertices (empty rotations) are permitted.
+    rotation system, unless the rotations are valid by construction (as
+    in :func:`oddtorus.torus.generate`).  Isolated vertices (empty
+    rotations) are permitted.
     """
 
     __slots__ = ("_rotation", "_adjacency", "_edge_count")
@@ -46,7 +48,7 @@ class EmbeddedGraph:
         adjacency: tuple[frozenset[int], ...] | None = None,
     ):
         # rotation[0] is the dummy entry; validation happens in
-        # build_embedded_graph so this stays a cheap internal constructor.
+        # build_embedded_graph so this stays a cheap trusted constructor.
         # adjacency, when given, must hold the frozenset of each rotation.
         self._rotation = rotation
         if adjacency is None:

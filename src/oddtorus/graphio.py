@@ -46,9 +46,12 @@ def parse_graph(text: str) -> EmbeddedGraph:
         raise GraphFileError("missing vertex-count line", line=meaningful[0][0])
     count_no, count_line = meaningful[1]
     parts = count_line.split()
-    if len(parts) != 2 or parts[0] != "v" or not parts[1].isdigit():
+    if len(parts) != 2 or parts[0] != "v" or not parts[1].isdecimal():
         raise GraphFileError("expected 'v <vertex_count>'", line=count_no)
-    n = int(parts[1])
+    try:
+        n = int(parts[1])
+    except ValueError:  # past the interpreter's integer string-conversion limit
+        raise GraphFileError("expected 'v <vertex_count>'", line=count_no) from None
     if n < 1:
         raise GraphFileError("vertex count must be positive", line=count_no)
 

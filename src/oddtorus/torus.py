@@ -15,16 +15,25 @@ south, in matrix orientation), wrap partners taking the slot of the
 grid neighbour they replace.  That order makes face tracing recover the
 2mn grid triangles.
 
+Vertex (i,j) has the flat id (i-1)*n + j, and the rotations are built
+on those ids directly: column i's partners in columns i+1 and i-1 sit at
+offsets +n and -n, rows step through precomputed up/down lists, and only
+the wrap columns use t.  Coordinates are derived only to word a witness.
+
 Not every parameter triple yields a simple graph; simplicity is decided
-by materializing the adjacency rules and looking for a loop or repeated
-neighbour, never by a closed-form predicate.
+by materializing every rotation and looking for a loop or repeated
+neighbour in it, never by a closed-form predicate.  generate and
+simplicity_witness make that decision in one shared pass.  The
+rotations it accepts are in range and symmetric by construction, so
+generate hands them to EmbeddedGraph directly rather than re-checking
+them in build_embedded_graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .embedding import EmbeddedGraph, build_embedded_graph
+from .embedding import EmbeddedGraph
 from .errors import NotSimpleError
 
 
@@ -58,52 +67,66 @@ def vertex_coords(p: TorusParams, v: int) -> tuple[int, int]:
     return (v - 1) // p.n + 1, (v - 1) % p.n + 1
 
 
-def neighbour_slots(p: TorusParams, i: int, j: int) -> tuple[tuple[int, int], ...]:
-    """The six neighbours of (i,j) in rotation order, coordinates normalized.
-
-    Order: east, north-east diagonal, north, west, south-west diagonal,
-    south.  For i = m the east pair wraps to column 1 with shift t; for
-    i = 1 the west pair wraps to column m.
-    """
-    m, n, t = p.m, p.n, p.t
-    if i < m:
-        east, north_east = (i + 1, j), (i + 1, j - 1)
-    else:
-        east, north_east = (1, j - t), (1, j - t - 1)
-    if i > 1:
-        west, south_west = (i - 1, j), (i - 1, j + 1)
-    else:
-        west, south_west = (m, j + t), (m, j + t + 1)
-    slots = (east, north_east, (i, j - 1), west, south_west, (i, j + 1))
-    return tuple((si, (sj - 1) % n + 1) for si, sj in slots)
-
-
-def _simple_slots(p: TorusParams):
-    """Yield the neighbour slots of each vertex of T(p) in vertex order.
+def _rotation_system(p: TorusParams):
+    """The rotations of T(p) and their neighbour sets, index 0 a dummy
+    entry.  Each column's six neighbour-id lists (east, north-east,
+    north, west, south-west, south) are zipped into its rotations.
 
     Raises:
-        NotSimpleError: at the first loop or repeated neighbour met.
+        NotSimpleError: the first vertex in id order whose rotation holds
+            itself or repeats a neighbour.
     """
-    for i in range(1, p.m + 1):
-        for j in range(1, p.n + 1):
-            slots = neighbour_slots(p, i, j)
-            if (i, j) in slots:
-                raise NotSimpleError((p.m, p.n, p.t), f"self-loop at ({i},{j})")
-            seen = set()
-            for s in slots:
-                if s in seen:
-                    raise NotSimpleError(
-                        (p.m, p.n, p.t), f"vertex ({i},{j}) lists ({s[0]},{s[1]}) twice"
-                    )
-                seen.add(s)
-            yield slots
+    m, n, t = p.m, p.n, p.t
+    rows = range(1, n + 1)
+    up = [n, *range(1, n)]  # row j-1
+    down = [*range(2, n + 1), 1]  # row j+1
+    last = (m - 1) * n  # ids of column m start after this offset
+    rotation: list[tuple[int, ...]] = [()]
+    for base in range(0, m * n, n):
+        if base < last:
+            east = [base + n + j for j in rows]
+            north_east = [base + n + j for j in up]
+        else:  # (1, j-t) and (1, j-t-1)
+            east = [(j - t - 1) % n + 1 for j in rows]
+            north_east = [(j - t - 2) % n + 1 for j in rows]
+        if base:
+            west = [base - n + j for j in rows]
+            south_west = [base - n + j for j in down]
+        else:  # (m, j+t) and (m, j+t+1)
+            west = [last + (j + t - 1) % n + 1 for j in rows]
+            south_west = [last + (j + t) % n + 1 for j in rows]
+        north = [base + j for j in up]
+        south = [base + j for j in down]
+        rotation += zip(east, north_east, north, west, south_west, south)
+    adjacency = [*map(frozenset, rotation)]
+    # A repeat leaves a neighbour set smaller than six, and so does a
+    # loop: opposite slots (east/west, north-east/south-west, north/south)
+    # are opposite steps on the torus, so a vertex that lists itself in
+    # one slot lists itself in the other too.
+    if sum(map(len, adjacency)) < 6 * m * n:
+        raise NotSimpleError((m, n, t), _witness(p, rotation, adjacency))
+    return tuple(rotation), tuple(adjacency)
+
+
+def _witness(p: TorusParams, rotation, adjacency) -> str:
+    """The violation at the first offending vertex of a non-simple T(p):
+    its self-loop, else its first neighbour repeated in rotation order."""
+    for v in range(1, len(rotation)):
+        rot, nbrs = rotation[v], adjacency[v]
+        if v in nbrs:
+            return "self-loop at ({},{})".format(*vertex_coords(p, v))
+        if len(nbrs) < len(rot):
+            w = next(w for k, w in enumerate(rot) if w in rot[:k])
+            return "vertex ({},{}) lists ({},{}) twice".format(
+                *vertex_coords(p, v), *vertex_coords(p, w)
+            )
+    raise AssertionError(f"T{p} has no loop or repeated neighbour")
 
 
 def simplicity_witness(p: TorusParams) -> str | None:
     """None if T(p) is simple, else a description of the violation found."""
     try:
-        for _ in _simple_slots(p):
-            pass
+        _rotation_system(p)
     except NotSimpleError as exc:
         return exc.witness
     return None
@@ -117,14 +140,14 @@ def generate(p: TorusParams) -> EmbeddedGraph:
     """Build T(p) with its canonical rotation system.
 
     Simplicity is decided in the same pass that builds the rotations.
+    Ids are in range and every edge is listed from both ends by
+    construction, so the graph skips build_embedded_graph's checks.
 
     Raises:
         NotSimpleError: with a witness, if the rules produce a loop or
             parallel edge.
     """
-    return build_embedded_graph(
-        [tuple(vertex_id(p, si, sj) for si, sj in slots) for slots in _simple_slots(p)]
-    )
+    return EmbeddedGraph(*_rotation_system(p))
 
 
 def canonical_m1(n: int, t: int) -> tuple[int, int]:

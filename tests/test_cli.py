@@ -264,3 +264,38 @@ class TestInfo:
             assert main(["info", str(path)]) == 0
             assert len(traces) == 1
             assert capsys.readouterr().out.splitlines() == expected
+
+
+class TestUndecodableInput:
+    # A file that is not UTF-8, or whose vertex count int() rejects (a
+    # digit that is not a decimal, as str.isdigit accepts "²", or a count
+    # past the string-conversion limit), is an input error on every
+    # subcommand that reads one.
+    GRAPHS = {
+        "not-utf8": b"og 1\nv 1\nr 1 \xff\n",
+        "superscript": "og 1\nv ²\n".encode(),
+        "huge-count": b"og 1\nv " + b"1" * 5000 + b"\n",
+    }
+
+    @pytest.mark.parametrize("kind", sorted(GRAPHS))
+    @pytest.mark.parametrize("command", ["info", "verify", "chi-odd", "discharge"])
+    def test_graph_file_exits_two(self, tmp_path, capsys, command, kind):
+        gp = tmp_path / "g.og"
+        gp.write_bytes(self.GRAPHS[kind])
+        cp = tmp_path / "c.col"
+        cp.write_text("1 1\n")
+        argv = [command, str(gp), *([str(cp)] if command == "verify" else [])]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_colouring_file_exits_two(self, tmp_path, capsys):
+        gp = tmp_path / "c5.og"
+        gp.write_text(write_graph(cycle_graph(5)))
+        cp = tmp_path / "c.col"
+        cp.write_bytes(b"1 \xff\n")
+        assert main(["verify", str(gp), str(cp)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {cp} is not UTF-8 text")
+

@@ -7,6 +7,7 @@ from collections import Counter
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from oddtorus.colouring import (
     Colouring,
@@ -15,6 +16,7 @@ from oddtorus.colouring import (
     is_nice,
     is_odd,
     is_proper,
+    nice_witness,
     odd_witness,
     odd_colours,
     proper_witness,
@@ -139,6 +141,32 @@ class TestProperties:
             assert is_proper(g, c) == is_proper(g, pc)
             assert is_odd(g, c) == is_odd(g, pc)
             assert is_conflict_free(g, c) == is_conflict_free(g, pc)
+
+    @given(coloured_graphs(), st.data())
+    def test_witnesses_invariant_under_colour_renaming(self, drawn, data):
+        # the verifiers compare colours only for equality, so a bijective
+        # renaming of the colours, huge ones included, keeps every witness
+        g, colours = drawn
+        used = sorted(set(colours.values()))
+        images = data.draw(
+            st.lists(
+                st.one_of(st.integers(1, 12), st.integers(10**9, 10**40)),
+                min_size=len(used), max_size=len(used), unique=True,
+            )
+        )
+        rename = dict(zip(used, images))
+        c = Colouring(colours)
+        pc = Colouring({v: rename[x] for v, x in colours.items()})
+        for witness in (proper_witness, odd_witness, conflict_free_witness):
+            assert witness(g, c) == witness(g, pc)
+
+    @given(coloured_graphs(), st.permutations(range(1, 10)))
+    def test_nice_verdict_invariant_under_permuting_one_to_nine(self, drawn, perm):
+        g, colours = drawn
+        sigma = dict(zip(range(1, 10), perm))
+        c = Colouring(colours)
+        pc = Colouring({v: sigma.get(x, x) for v, x in colours.items()})
+        assert (nice_witness(g, c) is None) == (nice_witness(g, pc) is None)
 
 
 def odd_witness_by_multiset(g, c):

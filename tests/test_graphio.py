@@ -5,13 +5,24 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from oddtorus.colouring import Colouring
 from oddtorus.errors import GraphFileError
 from oddtorus.graphio import parse_colouring, parse_graph, write_colouring, write_graph
-from oddtorus.torus import TorusParams, generate
+from oddtorus.torus import TorusParams, generate, is_simple
 
-from conftest import random_connected_embedding
+from conftest import adjacencies, from_adjacency, random_connected_embedding
+
+
+@st.composite
+def simple_tori(draw):
+    """Hypothesis strategy: a simple T(m,n,t) with m <= 6, n <= 12."""
+    n = draw(st.integers(4, 12))
+    p = TorusParams(draw(st.integers(1, 6)), n, draw(st.integers(0, n - 1)))
+    assume(is_simple(p))
+    return generate(p)
 
 
 class TestGraphRoundTrip:
@@ -35,6 +46,17 @@ class TestGraphRoundTrip:
         g = parse_graph(text)
         assert g.degree(1) == 0
         assert write_graph(g) == text
+
+    @given(adjacencies(9))
+    def test_adjacency_round_trips(self, adj):
+        g = from_adjacency(adj)
+        assert parse_graph(write_graph(g)) == g
+
+    @given(simple_tori())
+    def test_torus_round_trips(self, g):
+        h = parse_graph(write_graph(g))
+        assert h == g
+        assert [h.neighbours(v) for v in h.vertices()] == [g.neighbours(v) for v in g.vertices()]
 
     def test_random_round_trips(self):
         rng = random.Random(55)
@@ -80,11 +102,35 @@ class TestGraphParseErrors:
             parse_graph("og 1\nv 2\nr 1 2\nr 1 2\n")
         assert exc.value.line == 4
 
+    @pytest.mark.parametrize(
+        "count",
+        [
+            "²",  # passes str.isdigit, but int() rejects it
+            "1" * 5000,  # decimal, but past int()'s string-conversion limit
+        ],
+        ids=["superscript", "huge"],
+    )
+    def test_non_decimal_digit_count(self, count):
+        with pytest.raises(GraphFileError) as exc:
+            parse_graph(f"og 1\nv {count}\nr 1\n")
+        assert exc.value.line == 2
+
 
 class TestColouringFiles:
     def test_round_trip(self):
         c = Colouring({1: 3, 2: 1, 3: 9})
         assert parse_colouring(write_colouring(c)).assignment == c.assignment
+
+    @given(
+        st.dictionaries(
+            st.integers(1, 10**6),
+            st.one_of(st.integers(1, 12), st.integers(10**9, 10**40)),
+            min_size=1,
+        )
+    )
+    def test_drawn_assignments_round_trip(self, assignment):
+        c = Colouring(assignment)
+        assert parse_colouring(write_colouring(c)).assignment == assignment
 
     def test_totality_against_graph(self, c5):
         with pytest.raises(GraphFileError):

@@ -4,7 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from oddtorus.embedding import euler_characteristic, is_6regular_triangulation, trace_faces
+from oddtorus.embedding import (
+    build_embedded_graph,
+    euler_characteristic,
+    is_6regular_triangulation,
+    trace_faces,
+)
 from oddtorus.errors import NotSimpleError
 from oddtorus.torus import (
     TorusParams,
@@ -15,6 +20,79 @@ from oddtorus.torus import (
     vertex_coords,
     vertex_id,
 )
+
+
+def neighbour_slots(p: TorusParams, i: int, j: int) -> tuple[tuple[int, int], ...]:
+    """The six neighbours of (i,j) in rotation order, coordinates normalized.
+
+    Order: east, north-east diagonal, north, west, south-west diagonal,
+    south.  For i = m the east pair wraps to column 1 with shift t; for
+    i = 1 the west pair wraps to column m.  The coordinate form of the
+    rules, kept as the oracle for the flat-id generator.
+    """
+    m, n, t = p.m, p.n, p.t
+    if i < m:
+        east, north_east = (i + 1, j), (i + 1, j - 1)
+    else:
+        east, north_east = (1, j - t), (1, j - t - 1)
+    if i > 1:
+        west, south_west = (i - 1, j), (i - 1, j + 1)
+    else:
+        west, south_west = (m, j + t), (m, j + t + 1)
+    slots = (east, north_east, (i, j - 1), west, south_west, (i, j + 1))
+    return tuple((si, (sj - 1) % n + 1) for si, sj in slots)
+
+
+def simple_slots(p: TorusParams):
+    """Yield the neighbour slots of each vertex of T(p) in vertex order.
+
+    Raises:
+        NotSimpleError: at the first loop or repeated neighbour met.
+    """
+    for i in range(1, p.m + 1):
+        for j in range(1, p.n + 1):
+            slots = neighbour_slots(p, i, j)
+            if (i, j) in slots:
+                raise NotSimpleError((p.m, p.n, p.t), f"self-loop at ({i},{j})")
+            seen = set()
+            for s in slots:
+                if s in seen:
+                    raise NotSimpleError(
+                        (p.m, p.n, p.t), f"vertex ({i},{j}) lists ({s[0]},{s[1]}) twice"
+                    )
+                seen.add(s)
+            yield slots
+
+
+def reference_generate(p: TorusParams):
+    """The coordinate-tuple generator, validated by build_embedded_graph."""
+    return build_embedded_graph(
+        [tuple(vertex_id(p, si, sj) for si, sj in slots) for slots in simple_slots(p)]
+    )
+
+
+def assert_matches_reference(p: TorusParams) -> bool:
+    """generate and simplicity_witness agree with the oracle on T(p);
+    returns whether T(p) is simple."""
+    try:
+        expected = reference_generate(p)
+    except NotSimpleError as exc:
+        with pytest.raises(NotSimpleError) as got:
+            generate(p)
+        assert str(got.value) == str(exc), f"T{p}"
+        assert got.value.witness == exc.witness == simplicity_witness(p)
+        return False
+    g = generate(p)
+    assert simplicity_witness(p) is None
+    rotations = [g.rotation(v) for v in g.vertices()]
+    assert rotations == [expected.rotation(v) for v in expected.vertices()], f"T{p}"
+    assert [g.neighbours(v) for v in g.vertices()] == [
+        expected.neighbours(v) for v in expected.vertices()
+    ]
+    assert g.edge_count == expected.edge_count
+    # the checks generate skips hold: the validating constructor accepts it
+    assert build_embedded_graph(rotations) == g
+    return True
 
 
 def neighbour_coords(p, i, j):
@@ -51,6 +129,32 @@ class TestGenerate:
             TorusParams(2, 5, 5)
         with pytest.raises(ValueError):
             TorusParams(2, 5, -1)
+
+
+class TestMatchesCoordinateOracle:
+    def test_tier1_box(self):
+        # every T(m,n,t) with m <= 8, n <= 14, the non-simple ones included
+        outcomes = [
+            assert_matches_reference(TorusParams(m, n, t))
+            for m in range(1, 9)
+            for n in range(1, 15)
+            for t in range(n)
+        ]
+        assert 0 < sum(outcomes) < len(outcomes) == 840
+
+    def test_pinned_witnesses(self):
+        assert simplicity_witness(TorusParams(1, 1, 0)) == "self-loop at (1,1)"
+        assert simplicity_witness(TorusParams(3, 2, 1)) == "vertex (1,1) lists (1,2) twice"
+        assert simplicity_witness(TorusParams(1, 5, 2)) == "vertex (1,1) lists (1,3) twice"
+        assert simplicity_witness(TorusParams(2, 6, 5)) == "vertex (1,1) lists (2,6) twice"
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("m", range(1, 21))
+    def test_wide_sweep(self, m):
+        # m <= 20, n <= 40: beyond the m <= 10, n <= 12 box
+        for n in range(1, 41):
+            for t in range(n):
+                assert_matches_reference(TorusParams(m, n, t))
 
 
 class TestIsSimple:
