@@ -112,14 +112,10 @@ def cmd_colour(args) -> int:
 
     # colour_torus verified the colouring nice or raised above.
     if p.m >= 2:
-        # list the cells whose colour differs from the base colouring
-        within = [construct.row_within_index(p.n, j) - 1 for j in range(1, p.n + 1)]
-        for i in range(1, p.m + 1):
-            cls = construct.COLOUR_CLASSES[construct.column_class(p.m, i) - 1]
-            for j, idx in enumerate(within, 1):
-                v = torus.vertex_id(p, i, j)
-                if c[v] != cls[idx]:
-                    print(f"recoloured vertex {v} = ({i},{j}): {cls[idx]} -> {c[v]}")
+        for v, colour in sorted(construct.repairs(p).items()):
+            i, j = torus.vertex_coords(p, v)
+            old = construct.base_colour(p.m, p.n, i, j)
+            print(f"recoloured vertex {v} = ({i},{j}): {old} -> {colour}")
     else:
         for v in sorted(c.assignment):
             i, j = torus.vertex_coords(p, v)

@@ -8,7 +8,16 @@ mod 3, with index 2 in row n when n = 1 mod 3).  A column or row is bad
 when its two neighbours carry the same class (respectively the same
 colour set); vertices that are bad both ways are the only places the
 base colouring can fail to be odd, and each residue pair (m mod 3,
-n mod 3) has its own small recolouring that repairs them.
+n mod 3) has its own small recolouring that repairs them: the closed
+form table repairs(p), which colour_m2 and colour_m_ge3 apply.
+
+When m = n = 1 (mod 3), each bad vertex (i,j) hands its repair to
+w = (i+1, j-1), which takes the colour absent from N(w) of the class
+third = 6 - class(i) - class(i+1).  Only w's next column carries that
+class, at rows a and a-1 (a is w's row, or that row - t when w is in
+column m), so with idx the row_within_index read mod n, the absent
+colour has index 6 - idx(a) - idx(a-1).  When m = 1 and n = 2 (mod 3),
+(m,n) is recoloured into class 1 by the same rule.
 
 For m = 2 the columns use C1 and C2, and two vertices of column 1 at
 rows given in closed form by n and t are recoloured 7 and 8.  For m = 1
@@ -24,6 +33,7 @@ recoverable condition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .colouring import Colouring, nice_witness
 from .embedding import EmbeddedGraph
@@ -45,6 +55,11 @@ def row_within_index(n: int, j: int) -> int:
     if n % 3 == 1 and j == n:
         return 2
     return (j - 1) % 3 + 1
+
+
+def base_colour(m: int, n: int, i: int, j: int) -> int:
+    """Colour of cell (i,j) in base_colouring(m, n)."""
+    return COLOUR_CLASSES[column_class(m, i) - 1][row_within_index(n, j) - 1]
 
 
 def base_colouring(m: int, n: int) -> Colouring:
@@ -86,24 +101,48 @@ def classify(m: int, n: int) -> ColumnRowClassification:
     return ColumnRowClassification(
         bad_columns=frozenset(cols),
         bad_rows=frozenset(rows),
-        bad_vertices=frozenset((i, j) for i in cols for j in rows),
+        bad_vertices=frozenset(product(cols, rows)),
     )
 
 
-def _absent_class_colour(
-    g: EmbeddedGraph, c: Colouring, w: int, class_idx: int, p: TorusParams
-) -> int:
-    """The unique colour of the given class not present in N(w) under c."""
-    cls = COLOUR_CLASSES[class_idx - 1]
-    present = {c[x] for x in g.rotation(w)}
-    candidates = [x for x in cls if x not in present]
-    if len(candidates) != 1:
-        raise ConstructionFailedError(
-            (p.m, p.n, p.t),
-            f"expected exactly one absent colour of class {class_idx} at vertex {w},"
-            f" found {candidates}",
-        )
-    return candidates[0]
+def _absent_colour(p: TorusParams, cls: int, i: int, j: int) -> int:
+    """The colour of class cls absent from N((i,j)) under the base
+    colouring, when only the next column carries cls (module docstring)."""
+    n = p.n
+    a = j - p.t if i == p.m else j
+    idx = [row_within_index(n, (r - 1) % n + 1) for r in (a, a - 1)]
+    return COLOUR_CLASSES[cls - 1][6 - sum(idx) - 1]
+
+
+def repairs(p: TorusParams) -> dict[int, int]:
+    """The recolouring {vertex id: colour} that makes base_colouring(m, n)
+    nice on T(m,n,t), m >= 2, without building the graph: empty when m or
+    n is 0 (mod 3), else the residue case's cells (m = 2: see colour_m2)."""
+    m, n, t = p.m, p.n, p.t
+    if m < 2:
+        raise ValueError("repairs needs m >= 2")
+    if m % 3 == 0 or n % 3 == 0:
+        return {}
+    if m == 2:
+        if t % 3:
+            rows = (1, 3)
+        elif n % 3 == 2:
+            rows = (2, n - t - 1)
+        else:
+            rows = (2, n - 2 if t == n - 4 else n)
+        cells = {(1, rows[0]): 7, (1, rows[1]): 8}
+    elif m % 3 == 1 and n % 3 == 1:
+        cells = {}
+        for i, j in product(_bad_lines(m), _bad_lines(n)):
+            third = 6 - column_class(m, i) - column_class(m, i + 1)
+            cells[i + 1, j - 1] = _absent_colour(p, third, i + 1, j - 1)
+    elif m % 3 == 1 and n % 3 == 2:
+        cells = {(2, n): 9, (m, n): _absent_colour(p, 1, m, n)}
+    elif m % 3 == 2 and n % 3 == 1:
+        cells = {(2, n): 7, (m - 1, 2): 7, (2, n - 2): 9, (m - 1, n): 9}
+    else:  # m % 3 == 2, n % 3 == 2
+        cells = {(2, n): 9, (m - 1, 1): 9}
+    return {vertex_id(p, i, j): colour for (i, j), colour in cells.items()}
 
 
 def _require_nice(g: EmbeddedGraph, c: Colouring, p: TorusParams) -> Colouring:
@@ -113,39 +152,18 @@ def _require_nice(g: EmbeddedGraph, c: Colouring, p: TorusParams) -> Colouring:
     return c
 
 
+def _repaired(p: TorusParams) -> Colouring:
+    """base_colouring with repairs(p) applied, verified nice on T(p)."""
+    g = generate(p)
+    return _require_nice(g, base_colouring(p.m, p.n).with_recoloured(repairs(p)), p)
+
+
 def colour_m_ge3(p: TorusParams) -> Colouring:
     """Nice colouring of T(m,n,t) for m >= 3: the base colouring, with
     the residue-specific repair applied around the bad vertices."""
     if p.m < 3:
         raise ValueError("colour_m_ge3 needs m >= 3")
-    m, n = p.m, p.n
-    g = generate(p)
-    base = base_colouring(m, n)
-    if m % 3 == 0 or n % 3 == 0:
-        return _require_nice(g, base, p)
-
-    changes: dict[int, int] = {}
-    if m % 3 == 1 and n % 3 == 1:
-        # Each bad vertex (i,j) delegates to its neighbour w = (i+1, j-1),
-        # recoloured into the class unused by columns i and i+1.
-        for i in (1, m - 1):
-            third = 6 - column_class(m, i) - column_class(m, i + 1)
-            for j in (1, n - 1):
-                w = vertex_id(p, i + 1, j - 1)
-                changes[w] = _absent_class_colour(g, base, w, third, p)
-    elif m % 3 == 1 and n % 3 == 2:
-        changes[vertex_id(p, 2, n)] = 9
-        w = vertex_id(p, m, n)
-        changes[w] = _absent_class_colour(g, base, w, 1, p)
-    elif m % 3 == 2 and n % 3 == 1:
-        changes[vertex_id(p, 2, n)] = 7
-        changes[vertex_id(p, m - 1, 2)] = 7
-        changes[vertex_id(p, 2, n - 2)] = 9
-        changes[vertex_id(p, m - 1, n)] = 9
-    else:  # m % 3 == 2, n % 3 == 2
-        changes[vertex_id(p, 2, n)] = 9
-        changes[vertex_id(p, m - 1, 1)] = 9
-    return _require_nice(g, base.with_recoloured(changes), p)
+    return _repaired(p)
 
 
 def colour_m2(p: TorusParams) -> Colouring:
@@ -166,7 +184,7 @@ def colour_m2(p: TorusParams) -> Colouring:
     Recolouring non-adjacent u -> 7, w -> 8 keeps the colouring proper,
     makes each neighbour of u or w odd (7 or 8 occurs there once) and
     changes no other neighbourhood, so u and w must avoid those vertices
-    and between them be adjacent to all of them:
+    and between them be adjacent to all of them (repairs(p) gives them):
 
         t != 0 (mod 3): (1,1), adjacent to (2,1) and (1,n), and (1,3)
         t = 0 (mod 3): (1,2), adjacent to (1,1), (2,1), (2,t+3), and (1,r)
@@ -176,19 +194,7 @@ def colour_m2(p: TorusParams) -> Colouring:
     """
     if p.m != 2:
         raise ValueError("colour_m2 needs m = 2")
-    n, t = p.n, p.t
-    g = generate(p)
-    base = base_colouring(2, n)
-    if n % 3 == 0:
-        return _require_nice(g, base, p)
-    if t % 3:
-        rows = (1, 3)
-    elif n % 3 == 2:
-        rows = (2, n - t - 1)
-    else:
-        rows = (2, n - 2 if t == n - 4 else n)
-    changes = {vertex_id(p, 1, rows[0]): 7, vertex_id(p, 1, rows[1]): 8}
-    return _require_nice(g, base.with_recoloured(changes), p)
+    return _repaired(p)
 
 
 @dataclass(frozen=True)

@@ -34,27 +34,20 @@ from .errors import (
 class EmbeddedGraph:
     """Immutable simple graph with a combinatorial embedding.
 
-    Construct through :func:`build_embedded_graph`, which validates the
-    rotation system, unless the rotations are valid by construction (as
-    in :func:`oddtorus.torus.generate`).  Isolated vertices (empty
+    It stores the rotation tuples alone; neighbours and edges are read off
+    them.  Construct through :func:`build_embedded_graph`, which validates
+    the rotation system, unless the rotations are valid by construction
+    (as in :func:`oddtorus.torus.generate`).  Isolated vertices (empty
     rotations) are permitted.
     """
 
-    __slots__ = ("_rotation", "_adjacency", "_edge_count")
+    __slots__ = ("_rotation", "_edge_count")
 
-    def __init__(
-        self,
-        rotation: tuple[tuple[int, ...], ...],
-        adjacency: tuple[frozenset[int], ...] | None = None,
-    ):
+    def __init__(self, rotation: tuple[tuple[int, ...], ...]):
         # rotation[0] is the dummy entry; validation happens in
         # build_embedded_graph so this stays a cheap trusted constructor.
-        # adjacency, when given, must hold the frozenset of each rotation.
         self._rotation = rotation
-        if adjacency is None:
-            adjacency = tuple(frozenset(nbrs) for nbrs in rotation)
-        self._adjacency = adjacency
-        self._edge_count = sum(len(nbrs) for nbrs in rotation) // 2
+        self._edge_count = sum(map(len, rotation)) // 2
 
     @property
     def vertex_count(self) -> int:
@@ -75,10 +68,10 @@ class EmbeddedGraph:
         return len(self._rotation[v])
 
     def neighbours(self, v: int) -> frozenset[int]:
-        return self._adjacency[v]
+        return frozenset(self._rotation[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adjacency[u]
+        return v in self._rotation[u]
 
     def edges(self):
         """Undirected edges as (u, v) with u < v, in vertex order."""
@@ -190,7 +183,7 @@ def build_embedded_graph(
                     f"vertex {v} lists {w} but {w} does not list {v}", vertex=v
                 )
 
-    return EmbeddedGraph(tuple(table), tuple(sets))
+    return EmbeddedGraph(tuple(table))
 
 
 def trace_faces(g: EmbeddedGraph) -> list[Face]:

@@ -12,7 +12,8 @@ spaces, LF line endings, and r-lines sorted by vertex id, so
 write(parse(text)) is the identity on normalized files.
 
 Colouring files have one "<v> <colour>" line per vertex, written in
-vertex order.
+vertex order.  Every number in either format is written in ASCII digits
+alone: no sign, no underscores, no digits of other scripts.
 """
 
 from __future__ import annotations
@@ -22,6 +23,18 @@ from .embedding import EmbeddedGraph, build_embedded_graph
 from .errors import GraphError, GraphFileError
 
 MAGIC = "og 1"
+
+
+def _naturals(parts: list[str], what: str, line: int) -> list[int]:
+    """Tokens written in ASCII digits alone, as ints (int() would also take
+    signs, underscores and other scripts' digits); else GraphFileError."""
+    digits = "".join(parts)
+    if digits.isascii() and (digits.isdigit() or not parts):
+        try:
+            return [*map(int, parts)]
+        except ValueError:  # past the interpreter's integer string-conversion limit
+            pass
+    raise GraphFileError(what, line=line)
 
 
 def write_graph(g: EmbeddedGraph) -> str:
@@ -46,12 +59,9 @@ def parse_graph(text: str) -> EmbeddedGraph:
         raise GraphFileError("missing vertex-count line", line=meaningful[0][0])
     count_no, count_line = meaningful[1]
     parts = count_line.split()
-    if len(parts) != 2 or parts[0] != "v" or not parts[1].isdecimal():
+    if len(parts) != 2 or parts[0] != "v":
         raise GraphFileError("expected 'v <vertex_count>'", line=count_no)
-    try:
-        n = int(parts[1])
-    except ValueError:  # past the interpreter's integer string-conversion limit
-        raise GraphFileError("expected 'v <vertex_count>'", line=count_no) from None
+    (n,) = _naturals(parts[1:], "expected 'v <vertex_count>'", count_no)
     if n < 1:
         raise GraphFileError("vertex count must be positive", line=count_no)
 
@@ -61,10 +71,7 @@ def parse_graph(text: str) -> EmbeddedGraph:
         parts = ln.split()
         if parts[0] != "r":
             raise GraphFileError(f"expected an 'r' line, got {parts[0]!r}", line=no)
-        try:
-            ids = [int(x) for x in parts[1:]]
-        except ValueError:
-            raise GraphFileError("non-integer vertex id", line=no) from None
+        ids = _naturals(parts[1:], "non-integer vertex id", no)
         if not ids:
             raise GraphFileError("'r' line missing its vertex id", line=no)
         v, nbrs = ids[0], ids[1:]
@@ -81,7 +88,8 @@ def parse_graph(text: str) -> EmbeddedGraph:
         missing = next(v for v in range(1, n + 1) if v not in rotations)
         raise GraphFileError(f"no rotation line for vertex {missing}")
     try:
-        return build_embedded_graph(rotations)
+        # the keys are exactly 1..n, so the rotations go in as a sequence
+        return build_embedded_graph([rotations[v] for v in range(1, n + 1)])
     except GraphError as exc:
         raise GraphFileError(str(exc), line=line_of[exc.vertex]) from exc
 
@@ -95,25 +103,23 @@ def parse_colouring(text: str, graph: EmbeddedGraph | None = None) -> Colouring:
     """Parse a colouring file; with a graph, totality is enforced."""
     assignment: dict[int, int] = {}
     for i, ln in enumerate(text.splitlines(), start=1):
-        if not ln.strip():
-            continue
         parts = ln.split()
+        if not parts:
+            continue
         if len(parts) != 2:
             raise GraphFileError("expected '<vertex> <colour>'", line=i)
-        try:
-            v, colour = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphFileError("non-integer entry", line=i) from None
+        v, colour = _naturals(parts, "non-integer entry", i)
         if colour < 1:
             raise GraphFileError(f"colour must be positive, got {colour}", line=i)
         if v in assignment:
             raise GraphFileError(f"duplicate colour for vertex {v}", line=i)
         assignment[v] = colour
     if graph is not None:
-        missing = [v for v in graph.vertices() if v not in assignment]
+        vertices = graph.vertices()
+        missing = [v for v in vertices if v not in assignment]
         if missing:
             raise GraphFileError(f"vertex {missing[0]} has no colour")
-        extra = [v for v in assignment if v not in graph.vertices()]
+        extra = [v for v in assignment if v not in vertices]
         if extra:
             raise GraphFileError(f"colour given for unknown vertex {extra[0]}")
     return Colouring(assignment)

@@ -67,10 +67,10 @@ def vertex_coords(p: TorusParams, v: int) -> tuple[int, int]:
     return (v - 1) // p.n + 1, (v - 1) % p.n + 1
 
 
-def _rotation_system(p: TorusParams):
-    """The rotations of T(p) and their neighbour sets, index 0 a dummy
-    entry.  Each column's six neighbour-id lists (east, north-east,
-    north, west, south-west, south) are zipped into its rotations.
+def _rotation_system(p: TorusParams) -> tuple[tuple[int, ...], ...]:
+    """The rotations of T(p), index 0 a dummy entry.  Each column's six
+    neighbour-id lists (east, north-east, north, west, south-west, south)
+    are zipped into its rotations.
 
     Raises:
         NotSimpleError: the first vertex in id order whose rotation holds
@@ -98,24 +98,22 @@ def _rotation_system(p: TorusParams):
         north = [base + j for j in up]
         south = [base + j for j in down]
         rotation += zip(east, north_east, north, west, south_west, south)
-    adjacency = [*map(frozenset, rotation)]
     # A repeat leaves a neighbour set smaller than six, and so does a
     # loop: opposite slots (east/west, north-east/south-west, north/south)
     # are opposite steps on the torus, so a vertex that lists itself in
     # one slot lists itself in the other too.
-    if sum(map(len, adjacency)) < 6 * m * n:
-        raise NotSimpleError((m, n, t), _witness(p, rotation, adjacency))
-    return tuple(rotation), tuple(adjacency)
+    if sum(map(len, map(frozenset, rotation))) < 6 * m * n:
+        raise NotSimpleError((m, n, t), _witness(p, rotation))
+    return tuple(rotation)
 
 
-def _witness(p: TorusParams, rotation, adjacency) -> str:
+def _witness(p: TorusParams, rotation) -> str:
     """The violation at the first offending vertex of a non-simple T(p):
     its self-loop, else its first neighbour repeated in rotation order."""
-    for v in range(1, len(rotation)):
-        rot, nbrs = rotation[v], adjacency[v]
-        if v in nbrs:
+    for v, rot in enumerate(rotation):
+        if v in rot:
             return "self-loop at ({},{})".format(*vertex_coords(p, v))
-        if len(nbrs) < len(rot):
+        if len(frozenset(rot)) < len(rot):
             w = next(w for k, w in enumerate(rot) if w in rot[:k])
             return "vertex ({},{}) lists ({},{}) twice".format(
                 *vertex_coords(p, v), *vertex_coords(p, w)
@@ -147,7 +145,7 @@ def generate(p: TorusParams) -> EmbeddedGraph:
         NotSimpleError: with a witness, if the rules produce a loop or
             parallel edge.
     """
-    return EmbeddedGraph(*_rotation_system(p))
+    return EmbeddedGraph(_rotation_system(p))
 
 
 def canonical_m1(n: int, t: int) -> tuple[int, int]:

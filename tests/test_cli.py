@@ -242,6 +242,13 @@ class TestInfo:
         gp.write_text("og 9\n")
         assert main(["info", str(gp)]) == 2
 
+    @pytest.mark.parametrize("text", ["og 1\nv 2\nr 1 +2\nr 2 1\n", "og 1\nv \u0662\nr 1\n"])
+    def test_non_ascii_digit_number_exits_two(self, tmp_path, capsys, text):
+        gp = tmp_path / "bad.og"
+        gp.write_text(text, encoding="utf-8")
+        assert main(["info", str(gp)]) == 2
+        assert "line " in capsys.readouterr().err
+
     def test_one_trace_per_run(self, tmp_path, t464, k4_planar, capsys, monkeypatch):
         traces = []
         original = embedding.trace_faces

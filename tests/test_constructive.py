@@ -9,11 +9,13 @@ from oddtorus.colouring import Colouring, is_nice, nice_witness, odd_colours
 from oddtorus.construct import (
     COLOUR_CLASSES,
     IntervalPartition,
+    base_colour,
     base_colouring,
     classify,
     colour_m1,
     colour_m2,
     colour_torus,
+    repairs,
 )
 from oddtorus.errors import NotSimpleError
 from oddtorus.torus import (
@@ -58,6 +60,13 @@ class TestBaseColouring:
         p = TorusParams(3, 7, 2)
         b = base_colouring(3, 7)
         assert b[vertex_id(p, 1, 7)] == 2  # second element of C1
+
+    def test_cell_rule_matches_whole_colouring(self):
+        for m, n in [(2, 7), (4, 5), (6, 6), (7, 7), (5, 8)]:
+            p = TorusParams(m, n, 0)
+            b = base_colouring(m, n)
+            for v in range(1, m * n + 1):
+                assert base_colour(m, n, *vertex_coords(p, v)) == b[v]
 
     def test_next_column_colours_appear_exactly_once(self):
         # for a vertex outside bad columns, the colours one column over
@@ -152,6 +161,32 @@ class TestReferenceInstances:
     def test_t252_two_vertices_recoloured_seven_eight(self):
         assert recoloured_map(TorusParams(2, 5, 2)) == {(1, 1): 7, (1, 3): 8}
         assert is_nice(generate(TorusParams(2, 5, 2)), colour_torus(TorusParams(2, 5, 2)))
+
+
+def assert_repairs_match(ms, ns) -> None:
+    """repairs(p), read in coordinates, is exactly the set colour_torus
+    recolours, on every simple T(m,n,t) with m in ms and n in ns."""
+    for m in ms:
+        for n in ns:
+            for t in range(n):
+                p = TorusParams(m, n, t)
+                if is_simple(p):
+                    got = {vertex_coords(p, v): c for v, c in repairs(p).items()}
+                    assert got == recoloured_map(p), f"T{p}"
+
+
+class TestRepairs:
+    def test_box(self):
+        assert_repairs_match(range(2, 13), range(1, 21))
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("m", range(2, 31))
+    def test_wide_box(self, m):
+        assert_repairs_match([m], range(1, 41))
+
+    def test_needs_two_columns(self):
+        with pytest.raises(ValueError):
+            repairs(TorusParams(1, 7, 2))
 
 
 def search_m2(p: TorusParams) -> Colouring:

@@ -116,6 +116,24 @@ class TestGraphParseErrors:
         assert exc.value.line == 2
 
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("og 1\nv 2\nr 1 +2\nr 2 1\n", 3),
+            ("og 1\nv 2\nr 1 2\nr \u0662 0_1\n", 4),
+            ("og 1\nv 2\nr 1 0_2\nr 2 1\n", 3),
+            ("og 1\nv \u0662\nr 1\n", 2),
+            ("og 1\nv +1\nr 1\n", 2),
+        ],
+        ids=["plus-sign", "arabic-indic-id", "underscore", "arabic-indic-count", "signed-count"],
+    )
+    def test_only_ascii_digits(self, text, line):
+        # int() accepts all of these; the format does not
+        with pytest.raises(GraphFileError) as exc:
+            parse_graph(text)
+        assert exc.value.line == line
+
+
 class TestColouringFiles:
     def test_round_trip(self):
         c = Colouring({1: 3, 2: 1, 3: 9})
@@ -148,3 +166,13 @@ class TestColouringFiles:
     def test_duplicate_vertex_rejected(self):
         with pytest.raises(GraphFileError):
             parse_colouring("1 1\n1 2\n")
+
+    @pytest.mark.parametrize(
+        "entry",
+        ["2 +0_9", "2 \u0669", "+2 9", "2 0_1"],
+        ids=["signed-underscored", "arabic-indic", "signed-vertex", "underscore"],
+    )
+    def test_only_ascii_digits(self, entry):
+        with pytest.raises(GraphFileError) as exc:
+            parse_colouring(f"1 1\n{entry}\n")
+        assert exc.value.line == 2

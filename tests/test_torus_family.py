@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
 import pytest
 
 from oddtorus.embedding import (
@@ -11,6 +14,7 @@ from oddtorus.embedding import (
     trace_faces,
 )
 from oddtorus.errors import NotSimpleError
+from oddtorus.graphio import parse_graph, write_graph
 from oddtorus.torus import (
     TorusParams,
     canonical_m1,
@@ -197,6 +201,34 @@ class TestStructure:
                     assert all(f.size == 3 for f in faces)
                     assert euler_characteristic(g) == 0
                     assert is_6regular_triangulation(g)
+
+
+def held_bytes_per_vertex(build) -> float:
+    """Bytes still allocated, per vertex, once build() has returned its graph."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        g = build()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return held / g.vertex_count
+
+
+class TestFootprint:
+    """A graph holds its rotation tuples and nothing per vertex besides:
+    six ids and a tuple come to about 280 bytes a vertex, and a neighbour
+    frozenset per vertex would add about 700 more."""
+
+    P = TorusParams(60, 60, 7)
+
+    def test_generated(self):
+        assert held_bytes_per_vertex(lambda: generate(self.P)) < 500
+
+    def test_parsed(self):
+        text = write_graph(generate(self.P))
+        assert held_bytes_per_vertex(lambda: parse_graph(text)) < 500
 
 
 class TestCanonicalM1:
