@@ -4,10 +4,16 @@ Subcommands: gen, colour, verify, chi-odd, discharge, info.
 
 Exit codes (stable contract):
     0  success / all requested checks verified
-    1  verification or construction failure
-    2  input, parse, or parameter error
-    3  IO failure
-    4  search budget or recursion depth exceeded
+    1  verification failure, or ConstructionFailedError
+    2  input, parse, or parameter error: GraphFileError (an unreadable or
+       undecodable input file included), NotSimpleError,
+       DisconnectedGraphError, ParameterError
+    3  IO failure: any other OSError, i.e. a failed write to --out or stdout
+    4  search budget or recursion depth exceeded: ResourceLimitError
+
+Subcommands return 0 or 1 and raise everything else; main alone maps
+the exceptions above to codes 1-4.  Any other exception is a bug and
+keeps its traceback.
 
 Charge amounts always print as exact rationals "p/q", never as decimal
 floats.  For T(m,n,t) outputs the grid coordinate (i,j) is printed
@@ -34,6 +40,7 @@ from .errors import (
     DisconnectedGraphError,
     GraphFileError,
     NotSimpleError,
+    ParameterError,
     ResourceLimitError,
 )
 
@@ -60,28 +67,18 @@ def _read_text(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise GraphFileError(f"{path} is not UTF-8 text: {exc}") from None
+    except OSError as exc:  # an unreadable input is an input error
+        raise GraphFileError(str(exc)) from None
 
 
 def _load_graph(path: str):
     return graphio.parse_graph(_read_text(path))
 
 
-def _params(args) -> torus.TorusParams:
-    return torus.TorusParams(args.m, args.n, args.t)
-
-
 def cmd_gen(args) -> int:
-    try:
-        p = _params(args)
-        g = torus.generate(p)
-    except (ValueError, NotSimpleError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        _write_output(args.out, graphio.write_graph(g))
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    p = torus.TorusParams(args.m, args.n, args.t)
+    g = torus.generate(p)
+    _write_output(args.out, graphio.write_graph(g))
     print(
         f"T{p}: {g.vertex_count} vertices, {g.edge_count} edges;"
         f" vertex (i,j) has flat id (i-1)*{p.n} + j",
@@ -91,47 +88,28 @@ def cmd_gen(args) -> int:
 
 
 def cmd_colour(args) -> int:
-    try:
-        p = _params(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        c = construct.colour_torus(p)
-    except NotSimpleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ConstructionFailedError as exc:
-        print(f"construction failed: {exc}", file=sys.stderr)
-        return EXIT_FAIL
-    try:
-        _write_output(args.out, graphio.write_colouring(c))
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_IO
-
-    # colour_torus verified the colouring nice or raised above.
+    p = torus.TorusParams(args.m, args.n, args.t)
+    c = construct.colour_torus(p)
+    _write_output(args.out, graphio.write_colouring(c))
+    # colour_torus verified the colouring nice or raised above.  Without
+    # --out, stdout carries the colouring and the report goes to stderr.
+    report = sys.stderr if args.out is None else sys.stdout
     if p.m >= 2:
         for v, colour in sorted(construct.repairs(p).items()):
             i, j = torus.vertex_coords(p, v)
             old = construct.base_colour(p.m, p.n, i, j)
-            print(f"recoloured vertex {v} = ({i},{j}): {old} -> {colour}")
+            print(f"recoloured vertex {v} = ({i},{j}): {old} -> {colour}", file=report)
     else:
         for v in sorted(c.assignment):
             i, j = torus.vertex_coords(p, v)
-            print(f"vertex {v} = ({i},{j}): colour {c[v]}")
-    print("nice: yes")
+            print(f"vertex {v} = ({i},{j}): colour {c[v]}", file=report)
+    print("nice: yes", file=report)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    try:
-        g = _load_graph(args.graph)
-        c = graphio.parse_colouring(_read_text(args.colouring), graph=g)
-    except (OSError, GraphFileError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-
+    g = _load_graph(args.graph)
+    c = graphio.parse_colouring(_read_text(args.colouring), graph=g)
     edge = proper_witness(g, c)
     print(f"proper: {'yes' if edge is None else f'no (edge {edge})'}")
     v = odd_witness(g, c)
@@ -148,19 +126,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_chi_odd(args) -> int:
-    try:
-        g = _load_graph(args.graph)
-    except (OSError, GraphFileError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    g = _load_graph(args.graph)
     # The search is single-threaded and deterministic either way; the
     # flag is accepted to keep the interface contract stable.
-    try:
-        result = solver.chi_odd(g, args.max_k, node_budget=args.budget)
-    except ResourceLimitError as exc:
-        print("budget exceeded")
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    result = solver.chi_odd(g, args.max_k, node_budget=args.budget)
     if result is None:
         print(f"none <= {args.max_k}")
     else:
@@ -169,12 +138,8 @@ def cmd_chi_odd(args) -> int:
 
 
 def cmd_discharge(args) -> int:
-    try:
-        g = _load_graph(args.graph)
-        before = discharge.initial_charges(g)
-    except (OSError, GraphFileError, DisconnectedGraphError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    g = _load_graph(args.graph)
+    before = discharge.initial_charges(g)
     after = discharge.apply_rules(g, before)
     report = discharge.audit(before, after)
     print(f"total before: {_rat(report.total_before)}")
@@ -187,11 +152,7 @@ def cmd_discharge(args) -> int:
 
 
 def cmd_info(args) -> int:
-    try:
-        g = _load_graph(args.graph)
-    except (OSError, GraphFileError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    g = _load_graph(args.graph)
     print(f"vertices: {g.vertex_count}")
     print(f"edges: {g.edge_count}")
     histogram: dict[int, int] = {}
@@ -217,29 +178,27 @@ def build_parser() -> argparse.ArgumentParser:
         "verify, search, discharge.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
+    for name, func, help_text in (
+        ("gen", cmd_gen, "generate T(m,n,t) as a graph file"),
+        ("colour", cmd_colour, "construct a nice colouring of T(m,n,t)"),
+        ("verify", cmd_verify, "check proper/odd/nice for a colouring file"),
+        ("chi-odd", cmd_chi_odd, "exact odd chromatic number"),
+        ("discharge", cmd_discharge, "run R1-R4 and audit the charge ledger"),
+        ("info", cmd_info, "surface diagnostics for a graph file"),
+    ):
+        cmd = commands[name] = sub.add_parser(name, help=help_text)
+        cmd.set_defaults(func=func)
+        if name in ("gen", "colour"):
+            for flag in ("--m", "--n", "--t"):
+                cmd.add_argument(flag, type=int, required=True)
+            cmd.add_argument("--out", help="output path (stdout if omitted)")
+        else:
+            cmd.add_argument("graph")
 
-    gen = sub.add_parser("gen", help="generate T(m,n,t) as a graph file")
-    gen.add_argument("--m", type=int, required=True)
-    gen.add_argument("--n", type=int, required=True)
-    gen.add_argument("--t", type=int, required=True)
-    gen.add_argument("--out", help="output path (stdout if omitted)")
-    gen.set_defaults(func=cmd_gen)
-
-    col = sub.add_parser("colour", help="construct a nice colouring of T(m,n,t)")
-    col.add_argument("--m", type=int, required=True)
-    col.add_argument("--n", type=int, required=True)
-    col.add_argument("--t", type=int, required=True)
-    col.add_argument("--out", help="output path (stdout if omitted)")
-    col.set_defaults(func=cmd_colour)
-
-    ver = sub.add_parser("verify", help="check proper/odd/nice for a colouring file")
-    ver.add_argument("graph")
-    ver.add_argument("colouring")
-    ver.add_argument("--conflict-free", action="store_true")
-    ver.set_defaults(func=cmd_verify)
-
-    chi = sub.add_parser("chi-odd", help="exact odd chromatic number")
-    chi.add_argument("graph")
+    commands["verify"].add_argument("colouring")
+    commands["verify"].add_argument("--conflict-free", action="store_true")
+    chi = commands["chi-odd"]
     chi.add_argument("--max-k", type=int, default=9)
     chi.add_argument("--budget", type=int, default=None, help="search node budget")
     chi.add_argument(
@@ -248,21 +207,26 @@ def build_parser() -> argparse.ArgumentParser:
         default=True,
         help="deterministic search (always on in this implementation)",
     )
-    chi.set_defaults(func=cmd_chi_odd)
-
-    dis = sub.add_parser("discharge", help="run R1-R4 and audit the charge ledger")
-    dis.add_argument("graph")
-    dis.set_defaults(func=cmd_discharge)
-
-    info = sub.add_parser("info", help="surface diagnostics for a graph file")
-    info.add_argument("graph")
-    info.set_defaults(func=cmd_info)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (GraphFileError, NotSimpleError, DisconnectedGraphError, ParameterError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except ConstructionFailedError as exc:
+        print(f"construction failed: {exc}", file=sys.stderr)
+        return EXIT_FAIL
+    except ResourceLimitError as exc:
+        print("budget exceeded")
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except OSError as exc:  # reads fail as GraphFileError, so this is a write
+        print(f"io error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -35,6 +35,11 @@ class DisconnectedGraphError(GraphError):
     """Operation requires a connected graph."""
 
 
+class ParameterError(ValueError):
+    """An argument outside its documented range: T(m,n,t) parameters, a
+    colour bound k or k_max below 1, or a negative node budget."""
+
+
 class NotSimpleError(Exception):
     """T(m,n,t) parameters materialize a loop or parallel edge.
 

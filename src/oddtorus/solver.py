@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 from .colouring import Colouring, is_odd, is_proper, odd_colours
 from .embedding import EmbeddedGraph
-from .errors import NeighbourUncolouredError, ResourceLimitError
+from .errors import NeighbourUncolouredError, ParameterError, ResourceLimitError
 
 #: Default node budget for the brute-force oracle; enumeration beyond
 #: this is considered infeasible rather than silently attempted.
@@ -109,6 +109,15 @@ def _too_deep(n: int) -> ResourceLimitError:
     )
 
 
+def _nodes_left(node_budget: int | None) -> int:
+    """The search's node counter: the budget, or -1 for no budget."""
+    if node_budget is None:
+        return -1
+    if node_budget < 0:
+        raise ParameterError(f"node budget must be at least 0, got {node_budget}")
+    return node_budget
+
+
 def find_odd_colouring(
     g: EmbeddedGraph, k: int, *, node_budget: int | None = None
 ) -> Colouring | None:
@@ -118,11 +127,13 @@ def find_odd_colouring(
     against the verifier before being handed out.
 
     Raises:
+        ParameterError: k < 1 or a negative node_budget.
         ResourceLimitError: node budget exhausted before a decision, or
             the search deeper than Python's recursion limit allows.
     """
     if k < 1:
-        raise ValueError("k must be at least 1")
+        raise ParameterError("k must be at least 1")
+    budget = _nodes_left(node_budget)
     n = g.vertex_count
     order = sorted(g.vertices(), key=lambda v: (-g.degree(v), v))
     position = {v: i for i, v in enumerate(order)}
@@ -145,7 +156,6 @@ def find_odd_colouring(
     # bit[v] = 1 << colour of v, and 0 while v is uncoloured
     bit = [0] * (n + 1)
     full = (2 << k) - 2
-    budget = node_budget if node_budget is not None else -1
 
     def solve(idx: int, allowed: int) -> bool:
         # allowed: the bits of colours 1..min(k, largest used so far + 1)
@@ -200,9 +210,14 @@ def find_odd_colouring(
 def chi_odd(
     g: EmbeddedGraph, k_max: int, *, node_budget: int | None = None
 ) -> int | None:
-    """Smallest k <= k_max admitting an odd colouring, or None."""
+    """Smallest k <= k_max admitting an odd colouring, or None.
+
+    Raises:
+        ParameterError: k_max < 1 or a negative node_budget.
+        ResourceLimitError: as find_odd_colouring.
+    """
     if k_max < 1:
-        raise ValueError("k_max must be at least 1")
+        raise ParameterError("k_max must be at least 1")
     for k in range(1, k_max + 1):
         if find_odd_colouring(g, k, node_budget=node_budget) is not None:
             return k
@@ -221,15 +236,16 @@ def chi_odd_bruteforce(
     accepted assignment is re-checked with the public verifiers.
 
     Raises:
+        ParameterError: k_max < 1 or a negative node_budget.
         ResourceLimitError: node budget exhausted before a decision, or
             the graph too large for Python's recursion limit.
     """
     if k_max < 1:
-        raise ValueError("k_max must be at least 1")
+        raise ParameterError("k_max must be at least 1")
     n = g.vertex_count
     rotation = [()] + [g.rotation(v) for v in range(1, n + 1)]
     colour = [0] * (n + 1)
-    nodes_left = [node_budget if node_budget is not None else -1]
+    nodes_left = [_nodes_left(node_budget)]
 
     def leaf_is_odd() -> bool:
         for v in range(1, n + 1):

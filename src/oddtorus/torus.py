@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .embedding import EmbeddedGraph
-from .errors import NotSimpleError
+from .errors import NotSimpleError, ParameterError
 
 
 @dataclass(frozen=True)
@@ -47,11 +47,11 @@ class TorusParams:
 
     def __post_init__(self):
         if self.m < 1:
-            raise ValueError(f"m must be positive, got {self.m}")
+            raise ParameterError(f"m must be positive, got {self.m}")
         if self.n < 1:
-            raise ValueError(f"n must be positive, got {self.n}")
+            raise ParameterError(f"n must be positive, got {self.n}")
         if not 0 <= self.t < self.n:
-            raise ValueError(f"t must satisfy 0 <= t < n, got t={self.t}, n={self.n}")
+            raise ParameterError(f"t must satisfy 0 <= t < n, got t={self.t}, n={self.n}")
 
     def __str__(self) -> str:
         return f"({self.m},{self.n},{self.t})"
@@ -155,5 +155,5 @@ def canonical_m1(n: int, t: int) -> tuple[int, int]:
     so the smaller of t and n-(t+1) is chosen, putting t < n/2.
     """
     if not 0 <= t < n:
-        raise ValueError(f"t must satisfy 0 <= t < n, got t={t}, n={n}")
+        raise ParameterError(f"t must satisfy 0 <= t < n, got t={t}, n={n}")
     return n, min(t, n - (t + 1))

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import types
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from oddtorus import embedding
+from oddtorus import construct, embedding, solver
 from oddtorus.cli import main
 from oddtorus.colouring import Colouring, nice_witness, odd_witness, proper_witness
 from oddtorus.discharge import rule_transfers
@@ -61,6 +63,18 @@ class TestColour:
 
     def test_not_simple_exits_two(self, tmp_path):
         assert main(["colour", "--m", "1", "--n", "4", "--t", "1", "--out", str(tmp_path / "c")]) == 2
+
+    @pytest.mark.parametrize("m,n,t", [(7, 7, 5), (2, 5, 2), (1, 13, 4)])
+    def test_stdout_colouring_verifies(self, tmp_path, capsys, m, n, t):
+        # Without --out the colouring alone is on stdout; the report is on stderr.
+        params = ["--m", str(m), "--n", str(n), "--t", str(t)]
+        assert main(["colour", *params]) == 0
+        out, err = capsys.readouterr()
+        assert err.splitlines()[-1] == "nice: yes"
+        col, gp = tmp_path / "c.col", tmp_path / "g.og"
+        col.write_text(out)
+        assert main(["gen", *params, "--out", str(gp)]) == 0
+        assert main(["verify", str(gp), str(col)]) == 0
 
 
 class TestVerify:
@@ -306,3 +320,78 @@ class TestUndecodableInput:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(f"error: {cp} is not UTF-8 text")
 
+
+
+class TestExitCodes:
+    """Each failure kind on each subcommand exits with its documented code,
+    one line on stderr and no traceback."""
+
+    T775 = ["--m", "7", "--n", "7", "--t", "5"]
+    # case: (exit code, argv with {d} the input directory, reject every colouring)
+    CASES = {
+        "verify-missing-graph": (2, ["verify", "{d}/missing.og", "{d}/c5.col"], False),
+        "chi-odd-missing-graph": (2, ["chi-odd", "{d}/missing.og"], False),
+        "discharge-missing-graph": (2, ["discharge", "{d}/missing.og"], False),
+        "info-missing-graph": (2, ["info", "{d}/missing.og"], False),
+        "verify-missing-colouring": (2, ["verify", "{d}/c5.og", "{d}/missing.col"], False),
+        "gen-m-zero": (2, ["gen", "--m", "0", "--n", "4", "--t", "1"], False),
+        "gen-t-not-below-n": (2, ["gen", "--m", "3", "--n", "4", "--t", "4"], False),
+        "colour-m-negative": (2, ["colour", "--m", "-1", "--n", "4", "--t", "1"], False),
+        "gen-not-simple": (2, ["gen", "--m", "1", "--n", "4", "--t", "1"], False),
+        "colour-not-simple": (2, ["colour", "--m", "1", "--n", "4", "--t", "1"], False),
+        "chi-odd-max-k-zero": (2, ["chi-odd", "{d}/c5.og", "--max-k", "0"], False),
+        "chi-odd-negative-budget": (2, ["chi-odd", "{d}/c5.og", "--budget", "-1"], False),
+        "discharge-disconnected": (2, ["discharge", "{d}/two.og"], False),
+        "gen-unwritable-out": (3, ["gen", *T775, "--out", "{d}/missing/x.og"], False),
+        "colour-unwritable-out": (3, ["colour", *T775, "--out", "{d}/missing/c.col"], False),
+        "chi-odd-budget-exhausted": (4, ["chi-odd", "{d}/c5.og", "--budget", "3"], False),
+        "colour-construction-failed": (1, ["colour", *T775, "--out", "{d}/c.col"], True),
+    }
+    STDERR_PREFIX = {1: "construction failed: ", 2: "error: ", 3: "io error: ", 4: "error: "}
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_documented_code(self, tmp_path, capsys, monkeypatch, case):
+        code, argv, reject = self.CASES[case]
+        (tmp_path / "c5.og").write_text(write_graph(cycle_graph(5)))
+        (tmp_path / "c5.col").write_text("1 1\n2 2\n3 3\n4 4\n5 5\n")
+        (tmp_path / "two.og").write_text("og 1\nv 4\nr 1 2\nr 2 1\nr 3 4\nr 4 3\n")
+        if reject:
+            monkeypatch.setattr(construct, "nice_witness", lambda g, c: "rejected by the test")
+        assert main([arg.format(d=tmp_path) for arg in argv]) == code
+        out, err = capsys.readouterr()
+        assert out == ("budget exceeded\n" if code == 4 else "")
+        assert err.startswith(self.STDERR_PREFIX[code]) and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
+class TestBenchmarkPatchTargets:
+    """The traced benchmark run (bench/spans.py) wraps cli.cmd_* and its
+    other targets by name, and counts solver nodes as entries into the
+    search's nested function.  Loaded read-only, its Tracer must still find
+    every target and count nodes on this package."""
+
+    @pytest.fixture
+    def spans(self):
+        path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+        module = types.ModuleType("spans")
+        exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+        return module
+
+    def test_tracer_round_trip(self, spans, tmp_path):
+        original = solver.find_odd_colouring
+        nested = [c.co_name for c in original.__code__.co_consts if isinstance(c, types.CodeType)]
+        assert spans.SEARCH_FUNCTION in nested
+        gp = tmp_path / "c5.og"
+        gp.write_text(write_graph(cycle_graph(5)))
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            assert solver.find_odd_colouring.__wrapped__ is original
+            assert main(["chi-odd", str(gp)]) == 0
+            assert main(["discharge", str(gp)]) == 0
+        finally:
+            tracer.uninstall()
+        assert solver.find_odd_colouring is original
+        metrics = tracer.metrics(startup_s=0.0, overhead_ratio=0.0, recoloured=0)
+        assert metrics["solver.find_odd_colouring.k5.nodes"] > 0
+        assert metrics["cli.chi_odd.self_s"] > 0 and metrics["cli.discharge.self_s"] > 0

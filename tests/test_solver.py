@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from oddtorus import solver
 from oddtorus.colouring import Colouring, is_odd, is_proper
-from oddtorus.errors import NeighbourUncolouredError, ResourceLimitError
+from oddtorus.errors import NeighbourUncolouredError, ParameterError, ResourceLimitError
 from oddtorus.solver import (
     PartialColouring,
     chi_odd,
@@ -335,6 +335,39 @@ class TestChiOdd:
     def test_isolated_vertex_graph(self):
         g = from_adjacency({1: []})
         assert chi_odd(g, 9) == 1
+
+
+class TestArgumentChecks:
+    """Arguments out of range raise ParameterError before any search: a
+    negative budget is not read as "no budget"."""
+
+    SEARCHES = {
+        "find_odd_colouring": lambda g, budget: find_odd_colouring(g, 5, node_budget=budget),
+        "chi_odd": lambda g, budget: chi_odd(g, 9, node_budget=budget),
+        "chi_odd_bruteforce": lambda g, budget: chi_odd_bruteforce(g, 9, node_budget=budget),
+    }
+
+    @pytest.mark.parametrize("budget", [-1, -10**6])
+    @pytest.mark.parametrize("search", sorted(SEARCHES))
+    def test_negative_budget_rejected(self, c5, search, budget):
+        with pytest.raises(ParameterError, match="node budget"):
+            self.SEARCHES[search](c5, budget)
+
+    @pytest.mark.parametrize("search", sorted(SEARCHES))
+    def test_none_is_unbounded(self, c5, search):
+        assert self.SEARCHES[search](c5, None) is not None
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda g: find_odd_colouring(g, 0),
+            lambda g: chi_odd(g, 0),
+            lambda g: chi_odd_bruteforce(g, 0),
+        ],
+    )
+    def test_colour_bound_below_one_rejected(self, c5, call):
+        with pytest.raises(ParameterError, match="at least 1"):
+            call(c5)
 
 
 class TestBruteforceOracle:
