@@ -1,29 +1,40 @@
 """Constructive nice colourings of the torus triangulations T(m,n,t).
 
 The nine colours split into classes C1 = {1,2,3}, C2 = {4,5,6},
-C3 = {7,8,9}.  For m >= 3 a base colouring assigns one class per column
-(class index = column index mod 3, with C2 in column m when m = 1 mod 3)
-and cycles through the class down the column (within-class index = row
-mod 3, with index 2 in row n when n = 1 mod 3).  A column or row is bad
-when its two neighbours carry the same class (respectively the same
-colour set); vertices that are bad both ways are the only places the
-base colouring can fail to be odd, and each residue pair (m mod 3,
-n mod 3) has its own small recolouring that repairs them: the closed
-form table repairs(p), which colour_m2 and colour_m_ge3 apply.
+C3 = {7,8,9}.  For m >= 3 a base colouring gives cell (i,j) colour
+idx(n, j) of class idx(m, i), where line k of size lines has index
+idx(size, k) = (k-1) mod 3 + 1, or 2 at k = size = 1 (mod 3).  A column
+or row is bad when its two neighbours carry the same class (respectively
+the same colour set); vertices that are bad both ways are the only
+places the base colouring can fail to be odd, and each residue pair
+(m mod 3, n mod 3) has its own small recolouring that repairs them: the
+closed form table repairs(p), which colour_m2 and colour_m_ge3 apply.
 
 When m = n = 1 (mod 3), each bad vertex (i,j) hands its repair to
 w = (i+1, j-1), which takes the colour absent from N(w) of the class
-third = 6 - class(i) - class(i+1).  Only w's next column carries that
-class, at rows a and a-1 (a is w's row, or that row - t when w is in
-column m), so with idx the row_within_index read mod n, the absent
-colour has index 6 - idx(a) - idx(a-1).  When m = 1 and n = 2 (mod 3),
-(m,n) is recoloured into class 1 by the same rule.
+third = 6 - idx(m, i) - idx(m, i+1).  Only w's next column carries
+that class, at rows a and a-1 (a is w's row, or that row - t when w is
+in column m), so with rows read mod n, the absent colour has index
+6 - idx(n, a) - idx(n, a-1).  When m = 1 and n = 2 (mod 3), (m,n) is
+recoloured into class 1 by the same rule.
 
 For m = 2 the columns use C1 and C2, and two vertices of column 1 at
-rows given in closed form by n and t are recoloured 7 and 8.  For m = 1
-the vertex circle is cut into intervals of length t, the intervals are
-distributed over the three classes, and each class is coloured along the
-induced paths (a single induced cycle when there are four intervals).
+rows given in closed form by n and t are recoloured 7 and 8.
+
+For m = 1, with the canonical shift 2 <= t < n/2, the vertex circle is
+cut into intervals I_1..I_r of length t, the last of length
+1 <= n - (r-1)t <= t, and the classes are dealt to the intervals
+(IntervalPartition).  Each class is coloured along the components it
+induces, which (n, t) alone fix (_m1_walks): ids are adjacent when they
+differ by 1, t or t+1 mod n, so inside an interval only consecutive ids
+are, and two intervals of one class (never cyclically consecutive)
+share an edge only when exactly one interval, never the short I_r, lies
+between them cyclically.  They then share one edge, of difference t+1:
+from the last vertex of the earlier to the first of the later, or from
+n to t+1 across the wrap.  So the joined intervals are I_2 + I_4, a
+cycle, when r = 4; I_{r-2} + I_r + I_2 when r = 1 (mod 3), r >= 7; and
+I_{r-3} + I_{r-1} and I_{r-2} + I_r when r = 2 (mod 3).  Every other
+interval is a path of its own.
 
 Every constructed colouring is verified nice before being returned;
 ConstructionFailedError signals a contract violation, never a
@@ -43,36 +54,28 @@ from .torus import TorusParams, canonical_m1, generate, vertex_id
 COLOUR_CLASSES = ((1, 2, 3), (4, 5, 6), (7, 8, 9))
 
 
-def column_class(m: int, i: int) -> int:
-    """Class index (1..3) used in column i."""
-    if m % 3 == 1 and i == m:
+def _line_index(size: int, k: int) -> int:
+    """idx(size, k) of the module docstring: the class index of column k
+    for size = m, the within-class index of row k for size = n."""
+    if size % 3 == 1 and k == size:
         return 2
-    return (i - 1) % 3 + 1
-
-
-def row_within_index(n: int, j: int) -> int:
-    """Within-class index (1..3) used in row j."""
-    if n % 3 == 1 and j == n:
-        return 2
-    return (j - 1) % 3 + 1
+    return (k - 1) % 3 + 1
 
 
 def base_colour(m: int, n: int, i: int, j: int) -> int:
     """Colour of cell (i,j) in base_colouring(m, n)."""
-    return COLOUR_CLASSES[column_class(m, i) - 1][row_within_index(n, j) - 1]
+    return COLOUR_CLASSES[_line_index(m, i) - 1][_line_index(n, j) - 1]
 
 
 def base_colouring(m: int, n: int) -> Colouring:
-    """Column-class base colouring of the m x n grid; independent of t."""
+    """Column-class base colouring of the m x n grid; independent of t.
+    Cell (i,j) has id (i-1)*n + j and colour base_colour(m, n, i, j)."""
     if m < 2 or n < 3:
         raise ValueError("base colouring needs m >= 2 and n >= 3")
-    p = TorusParams(m, n, 0)
-    assignment = {}
-    for i in range(1, m + 1):
-        cls = COLOUR_CLASSES[column_class(m, i) - 1]
-        for j in range(1, n + 1):
-            assignment[vertex_id(p, i, j)] = cls[row_within_index(n, j) - 1]
-    return Colouring(assignment)
+    rows = [_line_index(n, j) - 1 for j in range(1, n + 1)]
+    columns = [COLOUR_CLASSES[_line_index(m, i) - 1] for i in range(1, m + 1)]
+    colours = [cls[k] for cls in columns for k in rows]  # in id order
+    return Colouring(dict(enumerate(colours, 1)))
 
 
 @dataclass(frozen=True)
@@ -110,7 +113,7 @@ def _absent_colour(p: TorusParams, cls: int, i: int, j: int) -> int:
     colouring, when only the next column carries cls (module docstring)."""
     n = p.n
     a = j - p.t if i == p.m else j
-    idx = [row_within_index(n, (r - 1) % n + 1) for r in (a, a - 1)]
+    idx = [_line_index(n, (r - 1) % n + 1) for r in (a, a - 1)]
     return COLOUR_CLASSES[cls - 1][6 - sum(idx) - 1]
 
 
@@ -134,7 +137,7 @@ def repairs(p: TorusParams) -> dict[int, int]:
     elif m % 3 == 1 and n % 3 == 1:
         cells = {}
         for i, j in product(_bad_lines(m), _bad_lines(n)):
-            third = 6 - column_class(m, i) - column_class(m, i + 1)
+            third = 6 - _line_index(m, i) - _line_index(m, i + 1)
             cells[i + 1, j - 1] = _absent_colour(p, third, i + 1, j - 1)
     elif m % 3 == 1 and n % 3 == 2:
         cells = {(2, n): 9, (m, n): _absent_colour(p, 1, m, n)}
@@ -241,26 +244,22 @@ class IntervalPartition:
         return tuple(sorted(out))
 
 
-def _class_walks(g: EmbeddedGraph, members: tuple[int, ...]):
-    """Yield each component of the subgraph induced by members, which must
-    be paths or cycles, as (walk, is_cycle).  A path starts at its smaller
-    endpoint, a cycle at its smallest vertex stepping towards its smaller
-    neighbour."""
-    member_set = set(members)
-    adjacency = {v: sorted(w for w in g.rotation(v) if w in member_set) for v in members}
-    if any(len(nbrs) > 2 for nbrs in adjacency.values()):
-        raise AssertionError("induced class subgraph is not a union of paths/cycles")
-    seen: set[int] = set()
-    # ascending endpoints first: each path is entered at its smaller end
-    for v in sorted(x for x in members if len(adjacency[x]) < 2) + sorted(members):
-        if v in seen:
-            continue
-        walk, nxt = [], [v]
-        while nxt:
-            walk.append(nxt[0])
-            seen.add(nxt[0])
-            nxt = [w for w in adjacency[nxt[0]] if w not in seen]
-        yield walk, len(adjacency[v]) == 2
+def _m1_walks(part: IntervalPartition):
+    """Yield (class index, walk, is_cycle) for each component of each
+    colour class, read off the intervals by the join lemma in the module
+    docstring.  A path starts at its smaller endpoint; the r = 4 cycle
+    starts at t+1 and steps up."""
+    r = part.r
+    # the joined intervals, as 1-based interval numbers in walk order
+    joins = {0: [], 1: [(r - 2, r, 2)], 2: [(r - 3, r - 1), (r - 2, r)]}[r % 3]
+    if r == 4:  # I_2 and I_4 join at both ends, closing a cycle
+        joins = [(2, 4)]
+    joined = {k for chain in joins for k in chain}
+    for chain in joins + [(k,) for k in range(1, r + 1) if k not in joined]:
+        walk = [v for k in chain for v in part.intervals[k - 1]]
+        if walk[-1] < walk[0]:
+            walk.reverse()
+        yield part.interval_class[chain[0] - 1], walk, r == 4 and len(chain) == 2
 
 
 def _cycle_pattern(length: int) -> list[int]:
@@ -283,24 +282,24 @@ def colour_m1(n: int, t: int) -> Colouring:
     """Nice colouring of T(1,n,t) via the interval partition.
 
     The intervals are cut with the canonical shift, which gives the same
-    graph (see canonical_m1).  Each class is coloured along its induced
-    paths by repeating the class; when r = 4 the class-2 subgraph is a
-    cycle and gets the tail-closed cycle pattern starting at vertex t+1.
+    graph (see canonical_m1).  Each class is coloured by repeating it
+    along the walks of _m1_walks; the r = 4 cycle gets the tail-closed
+    cycle pattern.  The graph is built first, so a non-simple T(1,n,t)
+    raises NotSimpleError, and otherwise only to verify the result.
     """
     p = TorusParams(1, n, t)
     g = generate(p)
     part = IntervalPartition.build(*canonical_m1(n, t))
 
     assignment: dict[int, int] = {}
-    for class_idx in (1, 2, 3):
+    for class_idx, walk, is_cycle in _m1_walks(part):
         cls = COLOUR_CLASSES[class_idx - 1]
-        for order, is_cycle in _class_walks(g, part.class_members(class_idx)):
-            if is_cycle:
-                pattern = _cycle_pattern(len(order))
-            else:
-                pattern = [k % 3 + 1 for k in range(len(order))]
-            for v, idx in zip(order, pattern):
-                assignment[v] = cls[idx - 1]
+        if is_cycle:
+            pattern = _cycle_pattern(len(walk))
+        else:
+            pattern = [k % 3 + 1 for k in range(len(walk))]
+        for v, idx in zip(walk, pattern):
+            assignment[v] = cls[idx - 1]
     return _require_nice(g, Colouring(assignment), p)
 
 

@@ -51,7 +51,7 @@ class NotSimpleError(Exception):
     def __init__(self, params, witness: str):
         self.params = params
         self.witness = witness
-        super().__init__(f"T{params} is not simple: {witness}")
+        super().__init__("T({},{},{}) is not simple: {}".format(*params, witness))
 
 
 class PartialColouringError(Exception):
@@ -68,7 +68,7 @@ class ConstructionFailedError(Exception):
     def __init__(self, params, witness: str):
         self.params = params
         self.witness = witness
-        super().__init__(f"construction failed on T{params}: {witness}")
+        super().__init__("construction failed on T({},{},{}): {}".format(*params, witness))
 
 
 class NeighbourUncolouredError(Exception):

@@ -339,6 +339,7 @@ class TestExitCodes:
         "colour-m-negative": (2, ["colour", "--m", "-1", "--n", "4", "--t", "1"], False),
         "gen-not-simple": (2, ["gen", "--m", "1", "--n", "4", "--t", "1"], False),
         "colour-not-simple": (2, ["colour", "--m", "1", "--n", "4", "--t", "1"], False),
+        "colour-m1-shift-zero": (2, ["colour", "--m", "1", "--n", "5", "--t", "0"], False),
         "chi-odd-max-k-zero": (2, ["chi-odd", "{d}/c5.og", "--max-k", "0"], False),
         "chi-odd-negative-budget": (2, ["chi-odd", "{d}/c5.og", "--budget", "-1"], False),
         "discharge-disconnected": (2, ["discharge", "{d}/two.og"], False),
@@ -362,6 +363,14 @@ class TestExitCodes:
         assert out == ("budget exceeded\n" if code == 4 else "")
         assert err.startswith(self.STDERR_PREFIX[code]) and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_messages_spell_params_as_torus_params(self, tmp_path, capsys, monkeypatch):
+        # T(m,n,t) reads the same in error messages as in gen's summary
+        assert main(["colour", "--m", "1", "--n", "5", "--t", "0"]) == 2
+        assert capsys.readouterr().err == "error: T(1,5,0) is not simple: self-loop at (1,1)\n"
+        monkeypatch.setattr(construct, "nice_witness", lambda g, c: "rejected by the test")
+        assert main(["colour", *self.T775, "--out", str(tmp_path / "c.col")]) == 1
+        assert "on T(7,7,5): rejected by the test\n" in capsys.readouterr().err
 
 
 class TestBenchmarkPatchTargets:

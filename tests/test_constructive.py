@@ -9,6 +9,7 @@ from oddtorus.colouring import Colouring, is_nice, nice_witness, odd_colours
 from oddtorus.construct import (
     COLOUR_CLASSES,
     IntervalPartition,
+    _cycle_pattern,
     base_colour,
     base_colouring,
     classify,
@@ -295,6 +296,39 @@ class TestIntervalPartition:
         assert part.intervals[-1] == (10, 11)
 
 
+def reference_colour_m1(n: int, t: int) -> Colouring:
+    """Test oracle for colour_m1: colour each class along the components
+    of the subgraph it induces in the generated graph, found by walking
+    that subgraph.  A path starts at its smaller endpoint, a cycle at its
+    smallest vertex stepping towards its smaller neighbour."""
+    g = generate(TorusParams(1, n, t))
+    part = IntervalPartition.build(*canonical_m1(n, t))
+    assignment: dict[int, int] = {}
+    for class_idx in (1, 2, 3):
+        cls = COLOUR_CLASSES[class_idx - 1]
+        members = part.class_members(class_idx)
+        member_set = set(members)
+        adjacency = {v: sorted(w for w in g.rotation(v) if w in member_set) for v in members}
+        assert all(len(nbrs) <= 2 for nbrs in adjacency.values()), f"T(1,{n},{t})"
+        seen: set[int] = set()
+        # ascending endpoints first: each path is entered at its smaller end
+        for v in sorted(x for x in members if len(adjacency[x]) < 2) + sorted(members):
+            if v in seen:
+                continue
+            walk, nxt = [], [v]
+            while nxt:
+                walk.append(nxt[0])
+                seen.add(nxt[0])
+                nxt = [w for w in adjacency[nxt[0]] if w not in seen]
+            if len(adjacency[v]) == 2:
+                pattern = _cycle_pattern(len(walk))
+            else:
+                pattern = [k % 3 + 1 for k in range(len(walk))]
+            for w, idx in zip(walk, pattern):
+                assignment[w] = cls[idx - 1]
+    return Colouring(assignment)
+
+
 class TestColourM1:
     def test_r3_gives_nine_distinct(self):
         c = colour_m1(9, 3)
@@ -329,7 +363,9 @@ class TestColourM1:
             for t in range(n):
                 p = TorusParams(1, n, t)
                 if canonical_m1(n, t)[1] == t and is_simple(p):
-                    assert is_nice(generate(p), colour_m1(n, t)), f"T{p}"
+                    c = colour_m1(n, t)
+                    assert is_nice(generate(p), c), f"T{p}"
+                    assert c.assignment == reference_colour_m1(n, t).assignment, f"T{p}"
 
     @pytest.mark.slow
     def test_full_sweep_to_two_hundred(self):
@@ -337,7 +373,9 @@ class TestColourM1:
             for t in range(n):
                 p = TorusParams(1, n, t)
                 if is_simple(p):
-                    assert is_nice(generate(p), colour_m1(n, t)), f"T{p}"
+                    c = colour_m1(n, t)
+                    assert is_nice(generate(p), c), f"T{p}"
+                    assert c.assignment == reference_colour_m1(n, t).assignment, f"T{p}"
 
     def test_singleton_component_instance(self):
         # T(1,11,2): interval 6 is the singleton {11} inside class 3
@@ -359,6 +397,10 @@ class TestColourTorus:
     def test_not_simple_raises(self):
         with pytest.raises(NotSimpleError):
             colour_torus(TorusParams(1, 4, 1))
+        # canonical shift 0: the simplicity check runs before the partition
+        for n, t in [(5, 0), (9, 8)]:
+            with pytest.raises(NotSimpleError):
+                colour_m1(n, t)
 
     def test_recoloured_set_is_independent_in_one_one_case(self):
         for m, n, t in [(7, 7, 5), (4, 4, 2), (10, 7, 3), (7, 10, 4)]:
