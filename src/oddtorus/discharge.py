@@ -23,6 +23,13 @@ equality is exact equality.
 Exactness costs no Fraction addition per charge: ledger totals sum integer
 numerators grouped by denominator, the audit reads signs from numerators
 (denominators are positive), and equal integral charges share one Fraction.
+
+R3 needs no map from directed edges to faces: the face across the edge uv
+of a 4+-face is the triangle uvw exactly when w follows v in rotation(u),
+u follows w in rotation(v) and v follows u in rotation(w).  Those three
+next-after lookups read per-vertex tables built on first use, so each
+directed edge costs O(1) whatever the degrees, and faces of size 3 are
+skipped before any other work.
 """
 
 from __future__ import annotations
@@ -47,7 +54,7 @@ R2_EXCEPTION_AMOUNT = Fraction(3, 4)
 R3_AMOUNT = Fraction(1, 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Block:
     """Maximal run of degree-5 neighbours around a 7+-vertex."""
 
@@ -59,7 +66,7 @@ class Block:
         return len(self.members)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transfer:
     """One charge movement: rule name, sender, receiving vertex, amount.
 
@@ -138,21 +145,34 @@ def blocks(g: EmbeddedGraph, v: int) -> list[Block]:
 
 
 def rule_transfers(g: EmbeddedGraph, faces: tuple[Face, ...]) -> list[Transfer]:
-    """All R1-R4 transfers for the embedding, in rule order."""
+    """All R1-R4 transfers for the embedding, in rule order.
+
+    ``faces`` are the traced faces of ``g``, in :func:`trace_faces` order.
+    """
     deg = [0] + [g.degree(v) for v in range(1, g.vertex_count + 1)]
-    face_of: dict[tuple[int, int], int] = {}
-    for fi, f in enumerate(faces):
-        for e in f.walk:
-            face_of[e] = fi
+    # succ[v][u] = neighbour following u in rotation(v), built on first use
+    succ: dict[int, dict[int, int]] = {}
+
+    def after(v: int, u: int) -> int:
+        table = succ.get(v)
+        if table is None:
+            rot = g.rotation(v)
+            table = succ[v] = dict(zip(rot, rot[1:] + rot[:1]))
+        return table[u]
 
     transfers: list[Transfer] = []
     for fi, f in enumerate(faces):
-        if f.size >= 5:
-            for u in f.boundary_vertices:
+        size = f.size
+        if size < 4:
+            continue
+        sender = ("face", fi)
+        boundary = f.boundary_vertices
+        if size >= 5:
+            for u in boundary:
                 if deg[u] == 5:
-                    transfers.append(Transfer("R1", ("face", fi), u, R1_AMOUNT))
-        elif f.size == 4:
-            degs = [deg[u] for u in f.boundary_vertices]
+                    transfers.append(Transfer("R1", sender, u, R1_AMOUNT))
+        else:
+            degs = [deg[u] for u in boundary]
             fives = [i for i, d in enumerate(degs) if d == 5]
             exceptional = (
                 len(fives) == 2
@@ -161,19 +181,15 @@ def rule_transfers(g: EmbeddedGraph, faces: tuple[Face, ...]) -> list[Transfer]:
             )
             amount = R2_EXCEPTION_AMOUNT if exceptional else R2_AMOUNT
             for i in fives:
-                transfers.append(
-                    Transfer("R2", ("face", fi), f.boundary_vertices[i], amount)
-                )
-        if f.size >= 4:
-            for u, v in f.walk:
-                if deg[u] < 6 or deg[v] < 6:
-                    continue
-                other = faces[face_of[(v, u)]]
-                if other.size != 3:
-                    continue
-                w = next(x for x in other.boundary_vertices if x not in (u, v))
-                if deg[w] == 5:
-                    transfers.append(Transfer("R3", ("face", fi), w, R3_AMOUNT))
+                transfers.append(Transfer("R2", sender, boundary[i], amount))
+        # the triangle test of the module docstring, ordered so that each
+        # lookup reads a rotation that holds its key
+        for u, v in f.walk:
+            if deg[u] < 6 or deg[v] < 6:
+                continue
+            w = after(u, v)
+            if deg[w] == 5 and after(w, u) == v and after(v, w) == u:
+                transfers.append(Transfer("R3", sender, w, R3_AMOUNT))
 
     for v in g.vertices():
         if deg[v] < 7:

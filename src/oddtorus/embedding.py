@@ -112,7 +112,7 @@ class EmbeddedGraph:
         return f"EmbeddedGraph(V={self.vertex_count}, E={self.edge_count})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Face:
     """One traced face: a closed walk of directed edges.
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import types
 from collections import Counter
 from fractions import Fraction
@@ -9,11 +10,13 @@ from pathlib import Path
 
 import pytest
 
-from oddtorus import construct, embedding, solver
+from oddtorus import construct, discharge, embedding, solver
 from oddtorus.cli import main
 from oddtorus.colouring import Colouring, nice_witness, odd_witness, proper_witness
 from oddtorus.discharge import rule_transfers
+from oddtorus.errors import ConstructionFailedError
 from oddtorus.graphio import parse_colouring, parse_graph, write_colouring, write_graph
+from oddtorus.torus import TorusParams
 
 from conftest import cycle_graph, path_graph, scrambled_torus
 
@@ -370,7 +373,61 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: T(1,5,0) is not simple: self-loop at (1,1)\n"
         monkeypatch.setattr(construct, "nice_witness", lambda g, c: "rejected by the test")
         assert main(["colour", *self.T775, "--out", str(tmp_path / "c.col")]) == 1
-        assert "on T(7,7,5): rejected by the test\n" in capsys.readouterr().err
+        assert capsys.readouterr().err == "construction failed: T(7,7,5): rejected by the test\n"
+        # API callers keep the exception's own message
+        with pytest.raises(ConstructionFailedError) as info:
+            construct.colour_torus(TorusParams(7, 7, 5))
+        assert str(info.value) == "construction failed on T(7,7,5): rejected by the test"
+
+
+class TestCollectorState:
+    """main pauses the cyclic collector for the request it serves and
+    leaves it as the caller had it, whatever the exit code."""
+
+    # case: (exit code, argv with {d} the input directory)
+    CASES = {
+        "discharge": (0, ["discharge", "{d}/c5.og"]),
+        "verify-bad-colouring": (1, ["verify", "{d}/c5.og", "{d}/bad.col"]),
+        "missing-graph": (2, ["info", "{d}/missing.og"]),
+        "chi-odd-budget-exhausted": (4, ["chi-odd", "{d}/c5.og", "--budget", "3"]),
+    }
+
+    @pytest.fixture
+    def collector(self):
+        enabled = gc.isenabled()
+        yield
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    def run(self, tmp_path, case) -> None:
+        code, argv = self.CASES[case]
+        (tmp_path / "c5.og").write_text(write_graph(cycle_graph(5)))
+        (tmp_path / "bad.col").write_text("1 1\n2 2\n3 1\n4 2\n5 1\n")
+        assert main([arg.format(d=tmp_path) for arg in argv]) == code
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_enabled_stays_enabled(self, tmp_path, collector, case):
+        gc.enable()
+        self.run(tmp_path, case)
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_disabled_stays_disabled(self, tmp_path, collector, case):
+        gc.disable()
+        self.run(tmp_path, case)
+        assert not gc.isenabled()
+
+    def test_paused_during_request(self, tmp_path, collector, monkeypatch):
+        seen = []
+        audit = discharge.audit
+        monkeypatch.setattr(
+            discharge, "audit", lambda *ledgers: seen.append(gc.isenabled()) or audit(*ledgers)
+        )
+        gc.enable()
+        self.run(tmp_path, "discharge")
+        assert seen == [False] and gc.isenabled()
 
 
 class TestBenchmarkPatchTargets:

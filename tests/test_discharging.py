@@ -3,21 +3,28 @@
 from __future__ import annotations
 
 import random
+from dataclasses import FrozenInstanceError, fields
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from oddtorus.discharge import (
+    R1_AMOUNT,
+    R2_AMOUNT,
+    R2_EXCEPTION_AMOUNT,
+    R3_AMOUNT,
+    Block,
     ChargeLedger,
+    Transfer,
     apply_rules,
     audit,
     blocks,
     initial_charges,
     rule_transfers,
 )
-from oddtorus.embedding import build_embedded_graph, trace_faces
+from oddtorus.embedding import Face, build_embedded_graph, trace_faces
 from oddtorus.errors import (
     DegreeTooSmallError,
     DisconnectedGraphError,
@@ -27,6 +34,7 @@ from oddtorus.errors import (
 from oddtorus.torus import TorusParams, generate, is_simple
 
 from conftest import (
+    adjacencies,
     cycle_graph,
     embedding_from_points,
     random_connected_embedding,
@@ -46,6 +54,92 @@ def star_fixture(ring_degrees: list[int]):
         for p in pendants:
             rotations[p] = [ring_v]
     return build_embedded_graph(rotations)
+
+
+def reference_rule_transfers(g, faces) -> list[Transfer]:
+    """R1-R4 transfers with R3 reading the face across each edge from a
+    map of every directed edge to its face (the oracle for rule_transfers)."""
+    deg = [0] + [g.degree(v) for v in range(1, g.vertex_count + 1)]
+    face_of: dict[tuple[int, int], int] = {}
+    for fi, f in enumerate(faces):
+        for e in f.walk:
+            face_of[e] = fi
+
+    transfers: list[Transfer] = []
+    for fi, f in enumerate(faces):
+        if f.size >= 5:
+            for u in f.boundary_vertices:
+                if deg[u] == 5:
+                    transfers.append(Transfer("R1", ("face", fi), u, R1_AMOUNT))
+        elif f.size == 4:
+            degs = [deg[u] for u in f.boundary_vertices]
+            fives = [i for i, d in enumerate(degs) if d == 5]
+            exceptional = (
+                len(fives) == 2
+                and (fives[1] - fives[0]) in (1, 3)
+                and all(degs[i] >= 6 for i in range(4) if i not in fives)
+            )
+            amount = R2_EXCEPTION_AMOUNT if exceptional else R2_AMOUNT
+            for i in fives:
+                transfers.append(
+                    Transfer("R2", ("face", fi), f.boundary_vertices[i], amount)
+                )
+        if f.size >= 4:
+            for u, v in f.walk:
+                if deg[u] < 6 or deg[v] < 6:
+                    continue
+                other = faces[face_of[(v, u)]]
+                if other.size != 3:
+                    continue
+                w = next(x for x in other.boundary_vertices if x not in (u, v))
+                if deg[w] == 5:
+                    transfers.append(Transfer("R3", ("face", fi), w, R3_AMOUNT))
+
+    for v in g.vertices():
+        if deg[v] < 7:
+            continue
+        vertex_blocks = blocks(g, v)
+        if not vertex_blocks:
+            continue
+        per_block = Fraction(deg[v] - 6, len(vertex_blocks))
+        for block in vertex_blocks:
+            share = per_block / block.size
+            for member in block.members:
+                transfers.append(Transfer("R4", ("vertex", v), member, share))
+    return transfers
+
+
+def assert_transfers_like_reference(g) -> list[Transfer]:
+    """rule_transfers equals the oracle item by item, amounts as Fractions."""
+    faces = tuple(trace_faces(g))
+    got = rule_transfers(g, faces)
+    assert got == reference_rule_transfers(g, faces)
+    assert all(type(t.amount) is Fraction for t in got)
+    return got
+
+
+@st.composite
+def connected_rotation_systems(draw):
+    """Hypothesis strategy: a connected simple graph on 1..12 vertices with
+    every rotation an arbitrary permutation of the neighbours.  Each
+    component of the drawn graph is joined to vertex 1 by an edge from its
+    least vertex."""
+    adj = draw(adjacencies(12))
+    seen: set[int] = set()
+    for root in adj:  # 1, 2, ..., n
+        if root in seen:
+            continue
+        if root != 1:
+            adj[1].append(root)
+            adj[root].append(1)
+        stack = [root]
+        seen.add(root)
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+    return build_embedded_graph({v: draw(st.permutations(ws)) for v, ws in adj.items()})
 
 
 def assert_audit_matches_definitions(before: ChargeLedger, after: ChargeLedger) -> None:
@@ -247,6 +341,63 @@ class TestRuleR3:
         )
         r3 = [tr for tr in rule_transfers(g, faces) if tr.rule == "R3"]
         assert r3 == [type(r3[0])("R3", ("face", square), 5, Fraction(1, 2))]
+
+
+class TestMatchesReference:
+    """rule_transfers reads R3's triangle off the rotations; the oracle
+    looks the face across each edge up in a map of all directed edges."""
+
+    def test_scrambled_tori(self):
+        r3 = 0
+        for args in [(8, 8, 3, 16), (10, 10, 3, 60), (9, 13, 5, 200)]:
+            for seed in range(6):
+                got = assert_transfers_like_reference(scrambled_torus(*args, seed=seed))
+                r3 += sum(t.rule == "R3" for t in got)
+        assert r3 > 100
+
+    def test_simple_tori(self):
+        for m in range(1, 7):
+            for n in range(1, 11):
+                for t in range(n):
+                    p = TorusParams(m, n, t)
+                    if is_simple(p):
+                        assert assert_transfers_like_reference(generate(p)) == []
+
+    def test_fixtures(self):
+        assert_transfers_like_reference(TestRuleR3().fixture())
+        assert_transfers_like_reference(star_fixture([5, 6, 5, 6, 5, 5, 6, 6]))
+
+    @given(connected_rotation_systems())
+    def test_random_rotation_systems(self, g):
+        assert g.is_connected()
+        assert_transfers_like_reference(g)
+
+    @given(
+        st.integers(3, 9), st.integers(7, 12), st.integers(0, 11),
+        st.integers(0, 150), st.integers(0, 2**32 - 1),
+    )
+    def test_random_scrambled_tori(self, m, n, t, ops, seed):
+        # random rotations on few vertices seldom make R3 fire; these do
+        assume(t < n and is_simple(TorusParams(m, n, t)))
+        assert_transfers_like_reference(scrambled_torus(m, n, t, ops, seed))
+
+
+class TestSlottedValues:
+    def test_frozen_slotted_dataclasses(self):
+        cases = [
+            (Face(((1, 2), (2, 3), (3, 1))), "Face(walk=((1, 2), (2, 3), (3, 1)))"),
+            (
+                Transfer("R3", ("face", 0), 5, R3_AMOUNT),
+                "Transfer(rule='R3', sender=('face', 0), receiver=5, amount=Fraction(1, 2))",
+            ),
+            (Block(1, (2, 3)), "Block(centre=1, members=(2, 3))"),
+        ]
+        for value, text in cases:
+            twin = type(value)(*(getattr(value, f.name) for f in fields(value)))
+            assert not hasattr(value, "__dict__")
+            assert value == twin and hash(value) == hash(twin) and repr(value) == text
+            with pytest.raises(FrozenInstanceError):
+                setattr(value, fields(value)[0].name, None)
 
 
 class TestApplyRules:
