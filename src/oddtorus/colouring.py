@@ -8,10 +8,12 @@ nice colouring is proper, odd, and uses colours from {1..9} only.
 Oddness is a parity question, answered everywhere by odd_colours: the
 set of colours with odd multiplicity in a neighbourhood, so a vertex is
 odd iff that set is non-empty.  The solver's evening-out ban asks the
-same question of a neighbourhood with one vertex left to colour, and
-its search computes the same set as an XOR of colour bits 1 << x, which
-is safe there because its colours are at most k.  The set form holds
-for any colour value.
+same question of a neighbourhood with one vertex left to colour.
+solver._ban_sources names those neighbourhoods once for both of its
+evaluations: forbidden_colours computes their parity with odd_colours,
+and the search's hot loop computes the same set as an XOR of colour bits
+1 << x, which is safe there because its colours are at most k.  The set
+form holds for any colour value.
 
 Each verdict has a witness variant returning the first offending edge
 or vertex (None when the check passes); the boolean verifiers are thin

@@ -6,27 +6,27 @@ symmetry breaking: a vertex may use at most one colour beyond the
 largest colour used so far, which is sound because all verdicts are
 invariant under colour permutation.
 
-Properness bans the colours of v's coloured neighbours.  Oddness is
-enforced lazily through the parity of each vertex's coloured neighbours,
-the set of colours with odd multiplicity among them
-(colouring.odd_colours): a neighbour w of v bans a colour iff v is the
-last uncoloured neighbour of w and that set has a single element, and
-the banned colour is that element, because colouring v with it would
-leave every multiplicity in N(w) even.  The uniqueness of that colour
-follows from the representation: each neighbour bans at most one colour,
-so together with properness at most 2 deg(v) colours are ever excluded
-at v.
+The forbidden-colour rule, stated once in _ban_sources: properness bans
+the colours of v's coloured neighbours, and oddness bans at most one
+more colour per neighbour w whose every neighbour other than v is
+coloured (a closing neighbour).  The parity of N(w) without v, the set
+of colours of odd multiplicity there (colouring.odd_colours), bans its
+element when it has exactly one, because colouring v with it would
+leave every multiplicity in N(w) even.  So at most 2 deg(v) colours are
+ever excluded at v.  _ban_sources names the two sources, the coloured
+neighbours and the closing neighbours' rotations, for any collection of
+coloured vertices; forbidden_colours evaluates them as sets.
 
-Because the order is static, both bans are known per step before the
-search starts: step i colours order[i], its neighbours earlier in the
-order are exactly the coloured ones, and the neighbours w whose last
-neighbour in the order is order[i] are exactly those that can ban a
-colour by evening out.  The search builds that table once and codes
-each colour x <= k as the bit 1 << x (0 while uncoloured), so a step ORs
-its earlier neighbours' bits and, for each closing neighbour w, XORs the
-bits over the rotation of w (the uncoloured vertex adds 0) to get the
-parity set of N(w) as a bit mask.  Nothing is updated or undone when a
-colour is tried beyond storing its bit.
+The search evaluates the same rule on bits.  Because its order is
+static, step i colours order[i] with exactly the vertices earlier in
+the order coloured, so _search_steps reads every step's two sources off
+_ban_sources once, before the search starts.  The search codes each
+colour x <= k as the bit 1 << x (0 while uncoloured), so a step ORs its
+coloured neighbours' bits and, for each closing rotation, XORs the bits
+over it (the uncoloured vertex adds 0) to get the parity set as a bit
+mask, and ORs that mask into the bans when it has at most one bit (an
+empty parity adds nothing).  Nothing is updated or undone when a colour
+is tried beyond storing its bit.
 
 chi_odd_bruteforce is an independent oracle: it enumerates proper
 assignments exhaustively in vertex-id order, with no symmetry breaking
@@ -41,7 +41,7 @@ recursion limit raises ResourceLimitError rather than RecursionError.
 from __future__ import annotations
 
 import sys
-from collections.abc import Mapping
+from collections.abc import Container, Mapping
 from dataclasses import dataclass
 
 from .colouring import Colouring, is_odd, is_proper, odd_colours
@@ -70,6 +70,25 @@ class PartialColouring:
         return cls(dict(assignment), frozenset(set(g.vertices()) - set(assignment)))
 
 
+def _ban_sources(
+    g: EmbeddedGraph, v: int, coloured: Container[int]
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The two sources of v's forbidden colours, given the vertices that
+    carry a colour: v's coloured neighbours, which ban their colours, and
+    the rotations of v's closing neighbours, those whose every neighbour
+    other than v is coloured, which ban the one colour of odd
+    multiplicity among those neighbours if there is exactly one."""
+    rotation = g.rotation
+    return (
+        tuple(w for w in rotation(v) if w in coloured),
+        tuple(
+            rotation(w)
+            for w in rotation(v)
+            if all(x == v or x in coloured for x in rotation(w))
+        ),
+    )
+
+
 def forbidden_colours(
     g: EmbeddedGraph, pc: PartialColouring, v: int, *, relaxed: bool = False
 ) -> set[int]:
@@ -80,26 +99,27 @@ def forbidden_colours(
     colour iff v is its only uncoloured neighbour and its other
     neighbours have a single colour of odd multiplicity, and the banned
     colour is that one.  Each neighbour bans at most one colour, so the
-    result has at most 2 deg(v) elements.
+    result has at most 2 deg(v) elements.  Both sources come from
+    _ban_sources, evaluated here as sets.
 
     Raises:
         NeighbourUncolouredError: some neighbour of v is uncoloured and
             relaxed is False.  With relaxed=True such neighbours are
             skipped instead.
     """
-    if v in pc.assignment:
+    colour = pc.assignment
+    if v in colour:
         raise ValueError(f"vertex {v} is already coloured")
-    forbidden: set[int] = set()
-    for w in g.rotation(v):
-        if w in pc.assignment:
-            forbidden.add(pc.assignment[w])
-        elif not relaxed:
-            raise NeighbourUncolouredError(f"neighbour {w} of {v} is uncoloured")
-        others = [x for x in g.rotation(w) if x != v]
-        if all(x in pc.assignment for x in others):
-            odd = odd_colours(pc.assignment, others)
-            if len(odd) == 1:
-                forbidden |= odd
+    if not relaxed:
+        for w in g.rotation(v):
+            if w not in colour:
+                raise NeighbourUncolouredError(f"neighbour {w} of {v} is uncoloured")
+    nbrs, closing = _ban_sources(g, v, colour)
+    forbidden = {colour[w] for w in nbrs}
+    for rotation in closing:
+        odd = odd_colours(colour, (x for x in rotation if x != v))
+        if len(odd) == 1:
+            forbidden |= odd
     return forbidden
 
 
@@ -116,6 +136,20 @@ def _nodes_left(node_budget: int | None) -> int:
     if node_budget < 0:
         raise ParameterError(f"node budget must be at least 0, got {node_budget}")
     return node_budget
+
+
+def _search_steps(
+    g: EmbeddedGraph,
+) -> list[tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]]:
+    """The search's table: step i colours order[i] of the static order
+    with the vertices before it coloured, and holds that vertex and its
+    two ban sources."""
+    steps = []
+    coloured: set[int] = set()
+    for u in sorted(g.vertices(), key=lambda v: (-g.degree(v), v)):
+        steps.append((u, *_ban_sources(g, u, coloured)))
+        coloured.add(u)
+    return steps
 
 
 def find_odd_colouring(
@@ -135,24 +169,9 @@ def find_odd_colouring(
         raise ParameterError("k must be at least 1")
     budget = _nodes_left(node_budget)
     n = g.vertex_count
-    order = sorted(g.vertices(), key=lambda v: (-g.degree(v), v))
-    position = {v: i for i, v in enumerate(order)}
-    # last[w]: the position of the last neighbour of w in the order
-    last = [-1] + [max((position[x] for x in g.rotation(w)), default=-1)
-                   for w in g.vertices()]
-    # Step i colours order[i]: its earlier neighbours ban their colours,
-    # and each neighbour w with last[w] == i bans the one colour of odd
-    # multiplicity in N(w), if there is exactly one.
-    steps = [
-        (
-            u,
-            tuple(w for w in g.rotation(u) if position[w] < i),
-            tuple(g.rotation(w) for w in g.rotation(u) if last[w] == i),
-        )
-        for i, u in enumerate(order)
-    ]
+    steps = _search_steps(g)
     # degree order puts the isolated vertices last
-    active = sum(1 for v in order if g.degree(v))
+    active = sum(1 for u, _, _ in steps if g.degree(u))
     # bit[v] = 1 << colour of v, and 0 while v is uncoloured
     bit = [0] * (n + 1)
     full = (2 << k) - 2
@@ -173,8 +192,9 @@ def find_odd_colouring(
         taken = 0
         for w in before:
             taken |= bit[w]
+        # _ban_sources' rule on bits: u is uncoloured and adds 0 to each
+        # closing rotation, whose XOR is then the parity of N(w) without u
         for rotation in closing:
-            # u is uncoloured and adds 0: this is N(w) without u
             parity = 0
             for x in rotation:
                 parity ^= bit[x]
@@ -199,6 +219,10 @@ def find_odd_colouring(
         found = solve(0, 2)
     except RecursionError:
         raise _too_deep(n) from None
+    finally:
+        # solve holds itself through its closure cell: break that cycle so
+        # reference counting frees the tables even with the collector off
+        del solve
     if not found:
         return None
     result = Colouring({v: bit[v].bit_length() - 1 for v in g.vertices()})

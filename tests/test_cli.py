@@ -10,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from oddtorus import construct, discharge, embedding, solver
-from oddtorus.cli import main
+from oddtorus import cli, construct, discharge, embedding, solver
+from oddtorus.cli import build_parser, main
 from oddtorus.colouring import Colouring, nice_witness, odd_witness, proper_witness
 from oddtorus.discharge import rule_transfers
 from oddtorus.errors import ConstructionFailedError
@@ -183,6 +183,38 @@ class TestChiOdd:
         out, err = capsys.readouterr()
         assert out == "budget exceeded\n"
         assert "depth 2000" in err and "Traceback" not in err
+
+
+class TestChiOddDefaults:
+    """chi-odd searches with a default node budget per k, never unbounded,
+    and --deterministic changes nothing."""
+
+    @pytest.fixture
+    def c5_file(self, tmp_path):
+        gp = tmp_path / "c5.og"
+        gp.write_text(write_graph(cycle_graph(5)))
+        return str(gp)
+
+    def test_parser_default_is_the_constant(self):
+        args = build_parser().parse_args(["chi-odd", "g.og"])
+        assert args.budget == cli.CHI_ODD_DEFAULT_BUDGET == 10_000_000
+
+    def test_default_budget_applies(self, monkeypatch, c5_file, capsys):
+        monkeypatch.setattr(cli, "CHI_ODD_DEFAULT_BUDGET", 3)
+        assert main(["chi-odd", c5_file]) == 4
+        assert capsys.readouterr().out == "budget exceeded\n"
+
+    def test_explicit_budget_overrides_default(self, monkeypatch, c5_file, capsys):
+        monkeypatch.setattr(cli, "CHI_ODD_DEFAULT_BUDGET", 3)
+        assert main(["chi-odd", c5_file, "--budget", "1000"]) == 0
+        assert capsys.readouterr().out == "chi_odd = 5\n"
+
+    def test_deterministic_flag_changes_nothing(self, c5_file, capsys):
+        seen = []
+        for flag in ([], ["--deterministic"], ["--no-deterministic"]):
+            code = main(["chi-odd", c5_file, *flag])
+            seen.append((code, capsys.readouterr().out))
+        assert seen == [(0, "chi_odd = 5\n")] * 3
 
 
 class TestDischarge:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import random
@@ -222,6 +223,39 @@ class TestForbiddenColoursProperty:
             assert forbidden_colours(g, pc, v, relaxed=relaxed) == expected
 
 
+class TestBitBansMatchSets:
+    """The search evaluates the rule of _ban_sources on colour bits: the OR
+    of its coloured neighbours' bits, plus each closing rotation's XOR
+    when it has at most one bit.  At every step of its static table that
+    equals forbidden_colours' set evaluation, with the steps before it
+    coloured."""
+
+    @settings(deadline=None)
+    @given(adjacencies(9), st.integers(1, 6), st.data())
+    def test_every_prefix_of_the_order(self, adj, k, data):
+        g = from_adjacency(adj)
+        steps = solver._search_steps(g)
+        colours = data.draw(
+            st.lists(st.integers(1, k), min_size=len(steps), max_size=len(steps))
+        )
+        assignment = {}
+        for (u, before, closing), c in zip(steps, colours):
+            bit = {v: 1 << x for v, x in assignment.items()}
+            taken = 0
+            for w in before:
+                taken |= bit[w]
+            for rotation in closing:
+                parity = 0
+                for x in rotation:
+                    parity ^= bit.get(x, 0)
+                if not parity & (parity - 1):
+                    taken |= parity
+            bans = {x for x in range(1, k + 1) if taken >> x & 1}
+            pc = PartialColouring.on(g, assignment)
+            assert bans == forbidden_colours(g, pc, u, relaxed=True), (u, assignment)
+            assignment[u] = c
+
+
 class TestFindOddColouring:
     def test_c5_needs_five(self, c5):
         assert find_odd_colouring(c5, 4) is None
@@ -291,6 +325,36 @@ class TestPinnedPool:
                 assert got == reference_find_odd_colouring(
                     g, run["k"], node_budget=100_000
                 ), where
+
+
+class TestNoReferenceCycle:
+    """The search leaves no reference cycle behind, so with the cyclic
+    collector paused (as cli.main pauses it) its tables are freed when
+    it returns or raises."""
+
+    @pytest.fixture
+    def collector(self):
+        enabled = gc.isenabled()
+        yield
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    def test_chi_odd_leaves_nothing_to_collect(self, collector):
+        g = generate(TorusParams(8, 8, 0))
+        gc.disable()
+        gc.collect()
+        assert chi_odd(g, 9) == 4
+        assert gc.collect() == 0
+
+    def test_budget_exceeded_leaves_nothing_to_collect(self, collector):
+        g = generate(TorusParams(8, 8, 0))
+        gc.disable()
+        gc.collect()
+        with pytest.raises(ResourceLimitError):
+            find_odd_colouring(g, 4, node_budget=1000)
+        assert gc.collect() == 0
 
 
 class TestRecursionLimit:
