@@ -25,7 +25,7 @@ from oddtorus.solver import (
     find_odd_colouring,
     forbidden_colours,
 )
-from oddtorus.torus import TorusParams, generate
+from oddtorus.torus import TorusParams, generate, is_simple
 
 from conftest import (
     adjacencies,
@@ -37,17 +37,35 @@ from conftest import (
 )
 
 POOL = Path(__file__).resolve().parents[1] / "bench" / "data" / "exact_pool.json"
+POOL_NODES = Path(__file__).resolve().parent / "data" / "pool_nodes.json"
+
+
+def naive_search_order(g):
+    """Reference for solver._search_order: maximum cardinality search by
+    rescanning every unordered vertex at each step, O(V^2).  Each step
+    takes the vertex with the most ordered neighbours, ties broken by
+    larger degree, then smaller id."""
+    order, ordered = [], set()
+    while len(order) < g.vertex_count:
+        v = min(
+            (v for v in g.vertices() if v not in ordered),
+            key=lambda v: (-sum(w in ordered for w in g.rotation(v)), -g.degree(v), v),
+        )
+        order.append(v)
+        ordered.add(v)
+    return order
 
 
 def reference_find_odd_colouring(g, k, *, node_budget=None):
-    """Reference for find_odd_colouring: the same search with the parity
-    of each vertex's coloured neighbours kept incrementally, a bit mask
-    XOR-ed and a count of uncoloured neighbours decremented at every
-    neighbour on each colour tried, and both undone on backtrack."""
+    """Reference for find_odd_colouring: the same search, in the solver's
+    static order, with the parity of each vertex's coloured neighbours
+    kept incrementally, a bit mask XOR-ed and a count of uncoloured
+    neighbours decremented at every neighbour on each colour tried, and
+    both undone on backtrack."""
     if k < 1:
         raise ValueError("k must be at least 1")
     n = g.vertex_count
-    order = sorted(g.vertices(), key=lambda v: (-g.degree(v), v))
+    order = solver._search_order(g)
     rotation = [()] + [g.rotation(v) for v in range(1, n + 1)]
     colour = [0] * (n + 1)
     uncoloured_nbrs = [0] + [g.degree(v) for v in range(1, n + 1)]
@@ -223,6 +241,21 @@ class TestForbiddenColoursProperty:
             assert forbidden_colours(g, pc, v, relaxed=relaxed) == expected
 
 
+class TestSearchOrder:
+    """The static order is maximum cardinality search: a permutation of
+    the vertices with the isolated ones last, equal step by step to the
+    naive rescan under the tie rule."""
+
+    @given(adjacencies(9))
+    def test_matches_naive_rescan(self, adj):
+        g = from_adjacency(adj)
+        order = solver._search_order(g)
+        assert sorted(order) == list(g.vertices())
+        isolated = [v for v in order if not g.degree(v)]
+        assert order[len(order) - len(isolated):] == isolated
+        assert order == naive_search_order(g)
+
+
 class TestBitBansMatchSets:
     """The search evaluates the rule of _ban_sources on colour bits: the OR
     of its coloured neighbours' bits, plus each closing rotation's XOR
@@ -311,20 +344,54 @@ class TestMatchesReference:
 class TestPinnedPool:
     def test_every_pinned_run(self):
         """Every k-run of the benchmark's pinned pool at budget 100k: the
-        pinned outcome and node count, and the reference's colouring."""
+        pool's outcome, the node count pinned in tests/data/pool_nodes.json
+        (the pool's own counts are those of the descending-degree order the
+        pool was built with) and the reference's colouring."""
         pool = json.loads(POOL.read_text(encoding="utf-8"))
-        assert len(pool["entries"]) == 807
+        pinned = json.loads(POOL_NODES.read_text(encoding="utf-8"))["nodes"]
+        assert len(pool["entries"]) == len(pinned) == 807
         for entry in pool["entries"]:
             g = generate(TorusParams(entry["m"], entry["n"], entry["t"]))
-            for run in entry["per_k"]:
+            nodes = pinned[f"{entry['m']},{entry['n']},{entry['t']}"]
+            assert len(nodes) == len(entry["per_k"])
+            for run, pinned_nodes in zip(entry["per_k"], nodes):
                 with SearchNodes() as counter:
                     got = search_outcome(find_odd_colouring, g, run["k"], 100_000)
                 where = (entry["m"], entry["n"], entry["t"], run["k"])
                 outcome = "refuted" if got is None else "budget" if got == "budget" else "found"
-                assert (outcome, counter.nodes) == (run["outcome"], run["nodes"]), where
+                assert (outcome, counter.nodes) == (run["outcome"], pinned_nodes), where
                 assert got == reference_find_odd_colouring(
                     g, run["k"], node_budget=100_000
                 ), where
+
+
+@pytest.mark.slow
+class TestSmallTorusSweep:
+    def test_every_simple_torus_up_to_area_48(self):
+        """chi_odd at 100k nodes per k over every simple T(m,n,t) with
+        mn <= 48, the pool's family: the number decided is pinned, each
+        decided value equals the pool's where the pool has the instance,
+        and the brute-force oracle's wherever V <= 9."""
+        pool = json.loads(POOL.read_text(encoding="utf-8"))
+        pinned = {(e["m"], e["n"], e["t"]): e["chi_odd"] for e in pool["entries"]}
+        simple = decided = 0
+        for m in range(1, 49):
+            for n in range(1, 48 // m + 1):
+                for t in range(n):
+                    p = TorusParams(m, n, t)
+                    if not is_simple(p):
+                        continue
+                    simple += 1
+                    g = generate(p)
+                    try:
+                        chi = chi_odd(g, 9, node_budget=100_000)
+                    except ResourceLimitError:
+                        continue
+                    decided += 1
+                    assert chi == pinned.get((m, n, t), chi), (m, n, t)
+                    if g.vertex_count <= 9:
+                        assert chi == chi_odd_bruteforce(g, 9), (m, n, t)
+        assert (simple, decided) == (pool["simple_instances"], 1394)
 
 
 class TestNoReferenceCycle:
@@ -374,11 +441,16 @@ class TestRecursionLimit:
 class TestPruningPins:
     """The node budget counts colour attempts, so the smallest budget that
     decides an instance pins the vertex order, the colour order and both
-    pruning mechanisms: any change to them moves it."""
+    pruning mechanisms: any change to them moves it.
+
+    Re-pinned when the static order changed from descending degree (ties
+    by id) to maximum cardinality search, which closes neighbourhoods
+    early so evening-out prunes sooner: the T(8,8,0) find went from
+    168,865 to 52,001 and the T(3,9,1) refutation from 68,477 to 59."""
 
     @pytest.mark.parametrize(
         "params,k,budget,found",
-        [((8, 8, 0), 4, 168_865, True), ((3, 9, 1), 4, 68_477, False)],
+        [((8, 8, 0), 4, 52_001, True), ((3, 9, 1), 4, 59, False)],
     )
     def test_smallest_deciding_budget(self, params, k, budget, found):
         g = generate(TorusParams(*params))
