@@ -21,9 +21,12 @@ ledgers and colourings a request builds hold no reference cycles, so
 reference counting frees them; the collector would only walk them again
 and again as they grow (580 collections, 4 of them full, in a
 T(150,150,7) discharge under Python 3.11).  The solver breaks the cycle
-of its recursive search on every exit, so the one cycle a request
-leaves is argparse's parser (259 objects under Python 3.11), which waits
-for the collector's next run after main returns.
+of its recursive search on every exit.  main builds its argument parser
+on the first call and reuses it for every later call in the process, so
+after the first call a request leaves no cycle for the collector.  It
+finds the subcommand's cmd_* function by name when the request runs and
+reads CHI_ODD_DEFAULT_BUDGET then, so replacing either on this module
+between calls takes effect on the next one.
 
 chi-odd searches at most CHI_ODD_DEFAULT_BUDGET nodes per k unless
 --budget names another budget; an unbounded search is never the
@@ -37,6 +40,7 @@ alongside each flat vertex id mentioned.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import sys
 from fractions import Fraction
@@ -113,17 +117,20 @@ def cmd_colour(args) -> int:
     _write_output(args.out, graphio.write_colouring(c))
     # colour_torus verified the colouring nice or raised above.  Without
     # --out, stdout carries the colouring and the report goes to stderr.
+    # The report is written in one call: for m = 1 it has a line per vertex.
     report = sys.stderr if args.out is None else sys.stdout
+    lines = []
     if p.m >= 2:
         for v, colour in sorted(construct.repairs(p).items()):
             i, j = torus.vertex_coords(p, v)
             old = construct.base_colour(p.m, p.n, i, j)
-            print(f"recoloured vertex {v} = ({i},{j}): {old} -> {colour}", file=report)
+            lines.append(f"recoloured vertex {v} = ({i},{j}): {old} -> {colour}\n")
     else:
-        for v in sorted(c.assignment):
+        for v, colour in sorted(c.assignment.items()):
             i, j = torus.vertex_coords(p, v)
-            print(f"vertex {v} = ({i},{j}): colour {c[v]}", file=report)
-    print("nice: yes", file=report)
+            lines.append(f"vertex {v} = ({i},{j}): colour {colour}\n")
+    lines.append("nice: yes\n")
+    report.write("".join(lines))
     return EXIT_OK
 
 
@@ -191,7 +198,13 @@ def cmd_info(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _set_default_budget(budget: argparse.Action) -> None:
+    budget.default = CHI_ODD_DEFAULT_BUDGET
+    budget.help = f"search node budget per k (default {CHI_ODD_DEFAULT_BUDGET:,})"
+
+
+def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
+    """The parser and its chi-odd --budget action."""
     parser = argparse.ArgumentParser(
         prog="oddtorus",
         description="Odd colourings of graphs on the torus: generate, colour, "
@@ -199,16 +212,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     commands = {}
-    for name, func, help_text in (
-        ("gen", cmd_gen, "generate T(m,n,t) as a graph file"),
-        ("colour", cmd_colour, "construct a nice colouring of T(m,n,t)"),
-        ("verify", cmd_verify, "check proper/odd/nice for a colouring file"),
-        ("chi-odd", cmd_chi_odd, "exact odd chromatic number"),
-        ("discharge", cmd_discharge, "run R1-R4 and audit the charge ledger"),
-        ("info", cmd_info, "surface diagnostics for a graph file"),
+    for name, help_text in (
+        ("gen", "generate T(m,n,t) as a graph file"),
+        ("colour", "construct a nice colouring of T(m,n,t)"),
+        ("verify", "check proper/odd/nice for a colouring file"),
+        ("chi-odd", "exact odd chromatic number"),
+        ("discharge", "run R1-R4 and audit the charge ledger"),
+        ("info", "surface diagnostics for a graph file"),
     ):
         cmd = commands[name] = sub.add_parser(name, help=help_text)
-        cmd.set_defaults(func=func)
         if name in ("gen", "colour"):
             for flag in ("--m", "--n", "--t"):
                 cmd.add_argument(flag, type=int, required=True)
@@ -220,27 +232,36 @@ def build_parser() -> argparse.ArgumentParser:
     commands["verify"].add_argument("--conflict-free", action="store_true")
     chi = commands["chi-odd"]
     chi.add_argument("--max-k", type=int, default=9)
-    chi.add_argument(
-        "--budget",
-        type=int,
-        default=CHI_ODD_DEFAULT_BUDGET,
-        help=f"search node budget per k (default {CHI_ODD_DEFAULT_BUDGET:,})",
-    )
+    budget = chi.add_argument("--budget", type=int)
+    _set_default_budget(budget)
     chi.add_argument(
         "--deterministic",
         action=argparse.BooleanOptionalAction,
         default=True,
         help="deterministic search (always on in this implementation)",
     )
-    return parser
+    return parser, budget
+
+
+def build_parser() -> argparse.ArgumentParser:
+    return _build_parser()[0]
+
+
+#: main's parser, built on its first call and reused by every later one.
+_request_parser = functools.cache(_build_parser)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser, budget = _request_parser()
+    _set_default_budget(budget)
+    args = parser.parse_args(argv)
+    # Looked up by name when the request runs: the parser outlives any
+    # replacement of a cmd_* function on this module.
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return args.func(args)
+        return command(args)
     except (GraphFileError, NotSimpleError, DisconnectedGraphError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

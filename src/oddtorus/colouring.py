@@ -70,9 +70,12 @@ def check_total(g: EmbeddedGraph, c: Colouring) -> None:
 def proper_witness(g: EmbeddedGraph, c: Colouring) -> tuple[int, int] | None:
     """First monochromatic edge, or None if the colouring is proper."""
     check_total(g, c)
-    for u, v in g.edges():
-        if c[u] == c[v]:
-            return (u, v)
+    colour = c.assignment
+    for u in g.vertices():
+        cu = colour[u]
+        for v in g.rotation(u):
+            if u < v and colour[v] == cu:
+                return (u, v)
     return None
 
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import gc
+import io
+import sys
 import types
 from collections import Counter
 from fractions import Fraction
@@ -16,7 +18,7 @@ from oddtorus.colouring import Colouring, nice_witness, odd_witness, proper_witn
 from oddtorus.discharge import rule_transfers
 from oddtorus.errors import ConstructionFailedError
 from oddtorus.graphio import parse_colouring, parse_graph, write_colouring, write_graph
-from oddtorus.torus import TorusParams
+from oddtorus.torus import TorusParams, vertex_coords
 
 from conftest import cycle_graph, path_graph, scrambled_torus
 
@@ -78,6 +80,57 @@ class TestColour:
         col.write_text(out)
         assert main(["gen", *params, "--out", str(gp)]) == 0
         assert main(["verify", str(gp), str(col)]) == 0
+
+
+class Writes(io.StringIO):
+    """A text stream that counts its write calls."""
+
+    calls = 0
+
+    def write(self, text):
+        self.calls += 1
+        return super().write(text)
+
+
+def reference_colour_report(p: TorusParams) -> str:
+    """colour's report as a print call per line writes it: the recoloured
+    vertices for m >= 2, every vertex for m = 1, then the verdict."""
+    out = io.StringIO()
+    if p.m >= 2:
+        for v, colour in sorted(construct.repairs(p).items()):
+            i, j = vertex_coords(p, v)
+            old = construct.base_colour(p.m, p.n, i, j)
+            print(f"recoloured vertex {v} = ({i},{j}): {old} -> {colour}", file=out)
+    else:
+        c = construct.colour_torus(p)
+        for v in sorted(c.assignment):
+            i, j = vertex_coords(p, v)
+            print(f"vertex {v} = ({i},{j}): colour {c[v]}", file=out)
+    print("nice: yes", file=out)
+    return out.getvalue()
+
+
+class TestColourReport:
+    """colour writes its report in one call, byte-identical to a print per
+    line: on stderr without --out, on stdout with it."""
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    @pytest.mark.parametrize("m,n,t", [(1, 13, 4), (1, 7, 2), (2, 7, 3), (2, 5, 2), (4, 7, 2), (7, 7, 5)])
+    def test_one_write_same_bytes(self, tmp_path, monkeypatch, m, n, t, to_file):
+        p = TorusParams(m, n, t)
+        stdout, stderr = Writes(), Writes()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        monkeypatch.setattr(sys, "stderr", stderr)
+        out = tmp_path / "c.col"
+        argv = ["colour", "--m", str(m), "--n", str(n), "--t", str(t)]
+        assert main(argv + ["--out", str(out)] if to_file else argv) == 0
+        colouring, report = write_colouring(construct.colour_torus(p)), reference_colour_report(p)
+        if to_file:
+            assert out.read_text() == colouring
+            assert (stdout.getvalue(), stdout.calls, stderr.getvalue()) == (report, 1, "")
+        else:
+            assert (stdout.getvalue(), stdout.calls) == (colouring, 1)
+            assert (stderr.getvalue(), stderr.calls) == (report, 1)
 
 
 class TestVerify:
@@ -215,6 +268,76 @@ class TestChiOddDefaults:
             code = main(["chi-odd", c5_file, *flag])
             seen.append((code, capsys.readouterr().out))
         assert seen == [(0, "chi_odd = 5\n")] * 3
+
+
+class TestReusedParser:
+    """main builds its parser on the first call and reuses it; a later call
+    still reads CHI_ODD_DEFAULT_BUDGET and the cmd_* functions off the
+    module.  Each test makes a warm call before it patches the module."""
+
+    @pytest.fixture
+    def c5_file(self, tmp_path):
+        gp = tmp_path / "c5.og"
+        gp.write_text(write_graph(cycle_graph(5)))
+        return str(gp)
+
+    def test_default_budget_read_per_call(self, monkeypatch, c5_file, capsys):
+        assert main(["chi-odd", c5_file]) == 0
+        monkeypatch.setattr(cli, "CHI_ODD_DEFAULT_BUDGET", 3)
+        assert main(["chi-odd", c5_file]) == 4
+        assert capsys.readouterr().out == "chi_odd = 5\nbudget exceeded\n"
+
+    def test_patched_command_runs(self, monkeypatch, capsys):
+        argv = ["colour", "--m", "1", "--n", "13", "--t", "4"]
+        assert main(argv) == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_colour", lambda args: seen.append((args.m, args.n, args.t)) or 1)
+        assert main(argv) == 1
+        assert seen == [(1, 13, 4)]
+
+
+class TestNoCycleAfterWarmCall:
+    """After the first call, a request leaves nothing for the cyclic
+    collector, whatever its exit code."""
+
+    T775 = ["--m", "7", "--n", "7", "--t", "5"]
+    # case: (exit code, argv with {d} the input directory)
+    CASES = {
+        "gen": (0, ["gen", *T775, "--out", "{d}/g.og"]),
+        "gen-not-simple": (2, ["gen", "--m", "1", "--n", "4", "--t", "1"]),
+        "colour-m1": (0, ["colour", "--m", "1", "--n", "13", "--t", "4"]),
+        "colour-m2": (0, ["colour", "--m", "2", "--n", "7", "--t", "3"]),
+        "colour-m-ge3": (0, ["colour", *T775, "--out", "{d}/c.col"]),
+        "colour-unwritable-out": (3, ["colour", *T775, "--out", "{d}/missing/c.col"]),
+        "verify": (0, ["verify", "{d}/c5.og", "{d}/good.col", "--conflict-free"]),
+        "verify-bad-colouring": (1, ["verify", "{d}/c5.og", "{d}/bad.col"]),
+        "chi-odd": (0, ["chi-odd", "{d}/c5.og"]),
+        "chi-odd-max-k-zero": (2, ["chi-odd", "{d}/c5.og", "--max-k", "0"]),
+        "chi-odd-budget-exhausted": (4, ["chi-odd", "{d}/c5.og", "--budget", "3"]),
+        "discharge": (0, ["discharge", "{d}/c5.og"]),
+        "discharge-disconnected": (2, ["discharge", "{d}/two.og"]),
+        "info": (0, ["info", "{d}/c5.og"]),
+        "info-missing-graph": (2, ["info", "{d}/missing.og"]),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_second_call_leaves_no_cycle(self, tmp_path, capsys, case):
+        code, argv = self.CASES[case]
+        (tmp_path / "c5.og").write_text(write_graph(cycle_graph(5)))
+        (tmp_path / "good.col").write_text("1 1\n2 2\n3 3\n4 4\n5 5\n")
+        (tmp_path / "bad.col").write_text("1 1\n2 2\n3 1\n4 2\n5 1\n")
+        (tmp_path / "two.og").write_text("og 1\nv 4\nr 1 2\nr 2 1\nr 3 4\nr 4 3\n")
+        argv = [arg.format(d=tmp_path) for arg in argv]
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            assert main(argv) == code
+            gc.collect()
+            assert main(argv) == code
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestDischarge:
@@ -493,3 +616,18 @@ class TestBenchmarkPatchTargets:
         metrics = tracer.metrics(startup_s=0.0, overhead_ratio=0.0, recoloured=0)
         assert metrics["solver.find_odd_colouring.k5.nodes"] > 0
         assert metrics["cli.chi_odd.self_s"] > 0 and metrics["cli.discharge.self_s"] > 0
+
+    def test_tracer_installed_after_warm_call(self, spans, tmp_path, capsys):
+        gp = tmp_path / "c5.og"
+        gp.write_text(write_graph(cycle_graph(5)))
+        colour = ["colour", "--m", "1", "--n", "13", "--t", "4"]
+        assert main(["chi-odd", str(gp)]) == 0 and main(colour) == 0
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            assert main(["chi-odd", str(gp)]) == 0 and main(colour) == 0
+        finally:
+            tracer.uninstall()
+        metrics = tracer.metrics(startup_s=0.0, overhead_ratio=0.0, recoloured=0)
+        assert metrics["solver.find_odd_colouring.k5.nodes"] > 0
+        assert metrics["cli.chi_odd.self_s"] > 0 and metrics["cli.colour.self_s"] > 0

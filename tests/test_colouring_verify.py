@@ -49,6 +49,30 @@ class TestProper:
         with pytest.raises(PartialColouringError):
             is_proper(c5, Colouring({1: 1}))
 
+    @given(coloured_graphs())
+    def test_first_edge_matches_edges_order(self, drawn):
+        g, colours = drawn
+        c = Colouring(colours)
+        assert proper_witness(g, c) == proper_witness_by_edges(g, c)
+
+    def test_first_edge_follows_rotation_order(self):
+        # torus rotations are not sorted, so the first clash at a vertex is
+        # the first in its rotation, not the smallest neighbour
+        p = TorusParams(7, 7, 5)
+        g, nice = generate(p), colour_torus(p)
+        for v in (1, 9, 25, 49):
+            for w in g.rotation(v):
+                c = nice.with_recoloured({v: nice[w]})
+                assert proper_witness(g, c) == proper_witness_by_edges(g, c) is not None
+
+
+def proper_witness_by_edges(g, c):
+    """Reference: the first edge of g.edges() whose ends share a colour."""
+    for u, v in g.edges():
+        if c[u] == c[v]:
+            return (u, v)
+    return None
+
 
 class TestOdd:
     def test_k7_distinct_colours(self):
